@@ -2,7 +2,7 @@
 // Alg. 1 workloads.
 //
 // Three configurations per workload row:
-//   * t1        — the single-solver baseline,
+//   * t1        — the single-worker baseline,
 //   * portfolio — every check raced on 2 diversified in-proc members
 //                 (restart pacing + seeded phases), first answer wins,
 //   * hostile   — the same portfolio with a garbage-printing external solver

@@ -4,11 +4,11 @@
 // probing over the shared sweep snapshot, against the same run with
 // preprocessing disabled.
 //
-// Preprocessing engages on the scheduler's worker path (threads > 1): the
-// sweep snapshot is simplified once per store generation under the frozen-var
-// contract (miter interface variables + sweep assumption variables are never
-// eliminated) and every worker hydrates from the simplified view. Per row
-// this bench reports:
+// Preprocessing engages on the scheduler's worker path (every thread count;
+// this bench measures threads = 4): the sweep snapshot is simplified once per
+// store generation under the frozen-var contract (miter interface variables +
+// sweep assumption variables are never eliminated) and every worker hydrates
+// from the simplified view. Per row this bench reports:
 //   * summed work = conflicts + propagations over the full Alg. 1 run, main
 //     solver plus workers (the honest single-core cost metric; wall clock on
 //     a 1-core container only measures time-slicing),

@@ -1,30 +1,24 @@
-// Experiment T-INCR — cross-iteration incremental sweeps on the Alg. 1
-// workloads: persistent assumption-activated candidates + UNSAT-core frontier
-// pruning + the shared verdict cache, against the legacy per-round re-encode
-// baseline.
+// Experiment T-INCR — the incremental sweep on the Alg. 1 workloads, at one
+// thread and at four.
 //
-// The legacy path poses every sweep round as a freshly encoded activation
-// disjunction and re-proves, iteration after iteration, that the surviving
-// candidates still cannot differ. The incremental path encodes each
-// candidate's activation literal once, selects per-round subsets purely
-// through assumptions (the store never grows mid-sweep), skips candidates
-// whose recorded refutation core is still entailed by the current assumption
-// set, and answers repeated UNSAT queries from the verdict cache. Per row
-// this bench reports:
+// Every saturating sweep runs through the CheckScheduler: persistent
+// assumption-activated candidates (the store never grows mid-sweep),
+// UNSAT-core frontier pruning and the shared verdict cache. threads = 1 runs
+// the single worker inline on the calling thread; threads = 4 fans the same
+// queries across a pool. Per row this bench reports:
 //   * summed work = conflicts + propagations over the full Alg. 1 run, main
-//     solver plus workers (the honest single-core cost metric; wall clock on
-//     a 1-core container only measures time-slicing),
-//   * the work reduction incremental mode buys on the same thread count,
+//     solver plus workers (deterministic at threads = 1; wall clock is
+//     recorded next to it but is not gated),
 //   * incremental-machinery counters (cache hits, pruned candidates), and
-//   * the `identical` column: the incremental run must report bit-equal
-//     verdicts/iterations/frontiers to both the legacy run on the same
-//     thread count and the 1-thread legacy run. The machinery only removes
-//     re-proving work, so any reading other than "yes" is a soundness bug.
+//   * the `identical` column: the threads = 4 run must report bit-equal
+//     verdicts/iterations/frontiers to the threads = 1 run (the threads = 1
+//     row is the reference). The frontier is semantic, so any reading other
+//     than "yes" is a soundness bug.
 //
 // Writes a JSON artifact (default BENCH_sweep_incremental.json, or argv
-// path) and exits non-zero if the identical column regresses or the secure
-// rows drop below the committed reduction bar — CI runs the reduced
-// configuration (--quick) and fails loudly on either signal.
+// path) and exits non-zero if the identical column regresses or — in the
+// reduced configuration (--quick), which CI runs — a secure row's work rises
+// above its committed baseline by more than kWorkTolerance.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -34,15 +28,29 @@
 
 namespace {
 
-upec::VerifyOptions configure(upec::VerifyOptions options, unsigned threads, bool incremental) {
-  options.threads = threads;
-  options.incremental_sweeps = incremental;
-  options.verdict_cache = incremental;
-  return options;
+// Secure-row work (conflicts + propagations) of the --quick configuration
+// (8-word public RAM), measured on a 4-core x86-64 host at the commit that
+// introduced this gate: threads = 1 is deterministic; threads = 4 is the
+// median of four runs (17.9M-21.4M, it varies with clause-sharing timing),
+// which the tolerance absorbs.
+struct WorkBaseline {
+  unsigned threads;
+  std::uint64_t work;
+};
+constexpr WorkBaseline kQuickSecureBaseline[] = {{1, 10'405'942}, {4, 19'200'000}};
+// Allowed rise over the baseline before the gate fails.
+constexpr double kWorkTolerance = 0.25;
+
+std::uint64_t quick_secure_baseline(unsigned threads) {
+  for (const WorkBaseline& b : kQuickSecureBaseline) {
+    if (b.threads == threads) return b.work;
+  }
+  return 0;
 }
 
-std::uint64_t total_work(const upec::Alg1Result& r) {
-  return r.stats.total.conflicts + r.stats.total.propagations;
+upec::VerifyOptions with_threads(upec::VerifyOptions options, unsigned threads) {
+  options.threads = threads;
+  return options;
 }
 
 // Compact unified-metrics snapshot for the row (README "Observability").
@@ -66,17 +74,14 @@ struct Row {
   std::uint32_t pub_words;
   const char* scenario;
   unsigned threads;
-  double legacy_s, incr_s;
-  std::uint64_t work_legacy, work_incr;
+  double seconds;
+  std::uint64_t conflicts, propagations;
   std::uint64_t cache_hits, pruned;
   bool identical;
   const char* verdict;
-  std::string metrics; // of the incremental run
+  std::string metrics;
 
-  double reduction() const {
-    if (work_legacy == 0) return 0.0;
-    return 1.0 - static_cast<double>(work_incr) / static_cast<double>(work_legacy);
-  }
+  std::uint64_t work() const { return conflicts + propagations; }
 };
 
 } // namespace
@@ -96,20 +101,16 @@ int main(int argc, char** argv) {
   const std::vector<std::uint32_t> sizes =
       quick ? std::vector<std::uint32_t>{8} : std::vector<std::uint32_t>{16, 32};
   const std::vector<unsigned> thread_counts = {1, 4};
-  // Committed bar for the secure rows (the UNSAT-heavy workload the
-  // incremental machinery targets); the reduced config uses a looser bar
-  // because the tiny design amortizes less re-encoding.
-  const double reduction_bar = quick ? 0.20 : 0.25;
 
-  std::printf("# T-INCR — Alg. 1, legacy re-encode sweeps vs incremental sweeps%s\n\n",
+  std::printf("# T-INCR — Alg. 1 incremental sweeps, threads = 1 vs 4%s\n\n",
               quick ? " (reduced config)" : "");
-  std::printf("%-10s %-10s %-8s %-12s %-12s %-14s %-14s %-10s %-12s %-8s %-10s\n", "pub_words",
-              "scenario", "threads", "legacy[s]", "incr[s]", "work legacy", "work incr",
-              "reduction", "cache hits", "pruned", "identical");
+  std::printf("%-10s %-10s %-8s %-10s %-12s %-14s %-12s %-8s %-10s\n", "pub_words", "scenario",
+              "threads", "time[s]", "conflicts", "propagations", "cache hits", "pruned",
+              "identical");
 
   std::vector<Row> rows;
   bool all_identical = true;
-  bool bar_met = true;
+  bool within_baseline = true;
   for (const std::uint32_t pub : sizes) {
     soc::SocConfig cfg;
     cfg.pub_ram_words = pub;
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     struct Scenario {
       const char* name;
       VerifyOptions options;
-      bool gated; // reduction bar applies
+      bool gated; // work baseline applies (--quick only)
     };
     const Scenario scenarios[] = {
         {"detect", VerifyOptions{}, false},
@@ -128,33 +129,40 @@ int main(int argc, char** argv) {
     for (const Scenario& sc : scenarios) {
       Alg1Options opts;
       opts.extract_waveform = false;
-      const Alg1Result t1_legacy = verify_2cycle(soc, configure(sc.options, 1, false), opts);
+      Alg1Result reference;
       for (const unsigned threads : thread_counts) {
-        const Alg1Result legacy =
-            threads == 1 ? t1_legacy : verify_2cycle(soc, configure(sc.options, threads, false), opts);
-        const Alg1Result incr = verify_2cycle(soc, configure(sc.options, threads, true), opts);
+        const Alg1Result r = verify_2cycle(soc, with_threads(sc.options, threads), opts);
+        if (threads == thread_counts.front()) reference = r;
 
         Row row;
         row.pub_words = pub;
         row.scenario = sc.name;
         row.threads = threads;
-        row.legacy_s = legacy.total_seconds;
-        row.incr_s = incr.total_seconds;
-        row.work_legacy = total_work(legacy);
-        row.work_incr = total_work(incr);
-        row.cache_hits = incr.stats.cache_hits;
-        row.pruned = incr.stats.pruned_candidates;
-        row.identical = identical_results(t1_legacy, incr) && identical_results(legacy, incr);
-        row.verdict = verdict_name(incr.verdict);
-        row.metrics = row_metrics(incr);
+        row.seconds = r.total_seconds;
+        row.conflicts = r.stats.total.conflicts;
+        row.propagations = r.stats.total.propagations;
+        row.cache_hits = r.stats.cache_hits;
+        row.pruned = r.stats.pruned_candidates;
+        row.identical = identical_results(reference, r);
+        row.verdict = verdict_name(r.verdict);
+        row.metrics = row_metrics(r);
         all_identical = all_identical && row.identical;
-        if (sc.gated && row.reduction() < reduction_bar) bar_met = false;
+        if (quick && sc.gated) {
+          const std::uint64_t baseline = quick_secure_baseline(threads);
+          if (static_cast<double>(row.work()) >
+              static_cast<double>(baseline) * (1.0 + kWorkTolerance)) {
+            within_baseline = false;
+            std::fprintf(stderr, "secure row at threads=%u: work %llu > baseline %llu + %.0f%%\n",
+                         threads, static_cast<unsigned long long>(row.work()),
+                         static_cast<unsigned long long>(baseline), kWorkTolerance * 100.0);
+          }
+        }
         rows.push_back(row);
 
-        std::printf("%-10u %-10s %-8u %-12.3f %-12.3f %-14llu %-14llu %-10.3f %-12llu %-8llu %s\n",
-                    pub, sc.name, threads, row.legacy_s, row.incr_s,
-                    static_cast<unsigned long long>(row.work_legacy),
-                    static_cast<unsigned long long>(row.work_incr), row.reduction(),
+        std::printf("%-10u %-10s %-8u %-10.3f %-12llu %-14llu %-12llu %-8llu %s\n", pub,
+                    sc.name, threads, row.seconds,
+                    static_cast<unsigned long long>(row.conflicts),
+                    static_cast<unsigned long long>(row.propagations),
                     static_cast<unsigned long long>(row.cache_hits),
                     static_cast<unsigned long long>(row.pruned), row.identical ? "yes" : "NO");
       }
@@ -168,18 +176,18 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"bench\": \"sweep_incremental\",\n  \"quick\": %s,\n",
                quick ? "true" : "false");
-  std::fprintf(f, "  \"reduction_bar\": %.2f,\n  \"rows\": [\n", reduction_bar);
+  std::fprintf(f, "  \"work_tolerance\": %.2f,\n  \"rows\": [\n", kWorkTolerance);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"pub_words\": %u, \"scenario\": \"%s\", \"threads\": %u, "
-                 "\"verdict\": \"%s\", \"legacy_s\": %.3f, \"incr_s\": %.3f, "
-                 "\"work_legacy\": %llu, \"work_incr\": %llu, \"work_reduction\": %.4f, "
-                 "\"cache_hits\": %llu, \"pruned\": %llu, \"identical\": %s, "
-                 "\"metrics\": %s}%s\n",
-                 r.pub_words, r.scenario, r.threads, r.verdict, r.legacy_s, r.incr_s,
-                 static_cast<unsigned long long>(r.work_legacy),
-                 static_cast<unsigned long long>(r.work_incr), r.reduction(),
+                 "\"verdict\": \"%s\", \"seconds\": %.3f, \"conflicts\": %llu, "
+                 "\"propagations\": %llu, \"work\": %llu, \"cache_hits\": %llu, "
+                 "\"pruned\": %llu, \"identical\": %s, \"metrics\": %s}%s\n",
+                 r.pub_words, r.scenario, r.threads, r.verdict, r.seconds,
+                 static_cast<unsigned long long>(r.conflicts),
+                 static_cast<unsigned long long>(r.propagations),
+                 static_cast<unsigned long long>(r.work()),
                  static_cast<unsigned long long>(r.cache_hits),
                  static_cast<unsigned long long>(r.pruned), r.identical ? "true" : "false",
                  r.metrics.c_str(), i + 1 < rows.size() ? "," : "");
@@ -190,15 +198,14 @@ int main(int argc, char** argv) {
 
   if (!all_identical) {
     std::fprintf(stderr,
-                 "FAIL: identical column regressed — the incremental machinery changed a "
-                 "verdict or frontier, breaking the determinism contract\n");
+                 "FAIL: identical column regressed — the threads = 4 frontier differs from "
+                 "threads = 1, breaking the determinism contract\n");
     return 1;
   }
-  if (!bar_met) {
+  if (!within_baseline) {
     std::fprintf(stderr,
-                 "FAIL: secure-row work reduction fell below the committed bar (%.2f) — the "
-                 "incremental sweeps stopped paying for themselves\n",
-                 reduction_bar);
+                 "FAIL: secure-row work rose above the committed baseline by more than %.0f%%\n",
+                 kWorkTolerance * 100.0);
     return 1;
   }
   return 0;

@@ -29,7 +29,7 @@ int main() {
   {
     // threads > 1 fans each iteration's per-state-variable checks across
     // worker solvers; the verdict and iteration shape are bit-identical to
-    // the single-solver run (the report shows the per-worker breakdown).
+    // the threads = 1 run (the report shows the per-worker breakdown).
     VerifyOptions options = countermeasure_options();
     options.threads = 2;
     UpecContext ctx(soc, options);

@@ -149,10 +149,11 @@ void Miter::select_candidates(unsigned frame, const std::vector<rtlir::StateVarI
   out_assumptions.push_back(~group.tail);
 }
 
-std::uint64_t Miter::model_value(const sat::ModelSource& model, const Bits& image) const {
+std::uint64_t Miter::model_value(const Bits& image) const {
+  assert(model_ != nullptr && "no model source installed (store-only miter?)");
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < image.size(); ++i) {
-    if (model.model_value(image[i])) v |= 1ULL << i;
+    if (model_->model_value(image[i])) v |= 1ULL << i;
   }
   return v;
 }
@@ -173,13 +174,11 @@ void Miter::frozen_vars(std::vector<sat::Var>& out) const {
   }
 }
 
-bool Miter::differs_in_model(const sat::ModelSource& model, rtlir::StateVarId sv,
-                             unsigned frame) {
+bool Miter::differs_in_model(rtlir::StateVarId sv, unsigned frame) {
+  assert(model_ != nullptr && "no model source installed (store-only miter?)");
   const Lit ex = exempt_lit(sv);
-  if (!cnf_.is_false(ex) && model.model_value(ex)) return false;
-  const std::uint64_t va = model_value(model, a_.state_at(frame, sv));
-  const std::uint64_t vb = model_value(model, b_.state_at(frame, sv));
-  return va != vb;
+  if (!cnf_.is_false(ex) && model_->model_value(ex)) return false;
+  return model_value(a_.state_at(frame, sv)) != model_value(b_.state_at(frame, sv));
 }
 
 } // namespace upec::encode

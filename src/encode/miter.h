@@ -20,7 +20,6 @@
 // independent images so the Victim_Task_Executing() macro can constrain them.
 #pragma once
 
-#include <cassert>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -42,7 +41,7 @@ class Miter {
 public:
   // Encodes into an arbitrary clause sink (a recording CnfStore, a tee into
   // store + solver, ...). Model inspection requires a model source — install
-  // one with set_model_source() or use the per-call overloads below.
+  // one with set_model_source().
   Miter(sat::ClauseSink& sink, const rtlir::Design& design, const rtlir::StateVarTable& svt,
         MiterOptions options);
 
@@ -122,25 +121,16 @@ public:
                          std::vector<Lit>& out_assumptions) const;
 
   // --- model inspection (valid after a SAT solve) ------------------------------
-  // The default model source (the main solver in the single-solver setup).
+  // The model source every read below consults (the main solver).
   void set_model_source(const sat::ModelSource* model) { model_ = model; }
 
-  std::uint64_t model_value(const sat::ModelSource& model, const Bits& image) const;
-  std::uint64_t model_value(const Bits& image) const {
-    assert(model_ != nullptr && "no model source installed (store-only miter?)");
-    return model_value(*model_, image);
-  }
+  std::uint64_t model_value(const Bits& image) const;
   bool lit_in_model(Lit l) const;
-  // True iff the two instances disagree on sv at `frame` in the given model
-  // and the variable is not exempted by the model's victim range. The images
-  // must already be encoded (they are, once a diff_literal for (sv, frame)
-  // exists) — the ModelSource overload is how the scheduler inspects worker
-  // models without re-encoding.
-  bool differs_in_model(const sat::ModelSource& model, rtlir::StateVarId sv, unsigned frame);
-  bool differs_in_model(rtlir::StateVarId sv, unsigned frame) {
-    assert(model_ != nullptr && "no model source installed (store-only miter?)");
-    return differs_in_model(*model_, sv, frame);
-  }
+  // True iff the two instances disagree on sv at `frame` in the installed
+  // model source and the variable is not exempted by the model's victim
+  // range. The images must already be encoded (they are, once a diff_literal
+  // for (sv, frame) exists).
+  bool differs_in_model(rtlir::StateVarId sv, unsigned frame);
 
 private:
   CnfBuilder cnf_;

@@ -4,8 +4,22 @@
 
 namespace upec::ipc {
 
-encode::Lit make_violation_any(encode::CnfBuilder& cnf,
-                               const std::vector<encode::Lit>& disjuncts) {
+namespace {
+
+// The solve.inproc status vocabulary (sat::to_string(SolveStatus)).
+const char* status_name(CheckStatus s) {
+  switch (s) {
+    case CheckStatus::Violated: return "sat";
+    case CheckStatus::Holds: return "unsat";
+    case CheckStatus::Unknown: return "unknown";
+  }
+  return "unknown";
+}
+
+} // namespace
+
+encode::Lit Engine::violation_any(encode::CnfBuilder& cnf,
+                                  const std::vector<encode::Lit>& disjuncts) {
   const encode::Lit act = cnf.fresh();
   std::vector<encode::Lit> clause;
   clause.reserve(disjuncts.size() + 1);
@@ -13,11 +27,6 @@ encode::Lit make_violation_any(encode::CnfBuilder& cnf,
   for (encode::Lit d : disjuncts) clause.push_back(d);
   cnf.add_clause(clause);
   return act;
-}
-
-encode::Lit Engine::violation_any(encode::CnfBuilder& cnf,
-                                  const std::vector<encode::Lit>& disjuncts) {
-  return make_violation_any(cnf, disjuncts);
 }
 
 CheckResult Engine::check(const BoundedProperty& property) {
@@ -40,6 +49,7 @@ CheckResult Engine::check_assumptions(const std::vector<encode::Lit>& assumption
     if (cache_->lookup_unsat(store_->id(), cursor, assumptions, core_out)) {
       ++cache_hits_;
       result.status = CheckStatus::Holds;
+      span.arg("status", status_name(result.status));
       return result;
     }
     ++cache_misses_;
@@ -66,6 +76,7 @@ CheckResult Engine::check_assumptions(const std::vector<encode::Lit>& assumption
   result.status = interrupted ? CheckStatus::Unknown
                   : sat_result ? CheckStatus::Violated
                                : CheckStatus::Holds;
+  span.arg("status", status_name(result.status));
 
   if (result.status == CheckStatus::Holds) {
     const std::vector<encode::Lit>& core = solver_.conflict_assumptions();

@@ -33,25 +33,22 @@ struct CheckResult {
   bool timed_out = false;
 };
 
-// Creates an activation literal `act` with clause act -> OR(disjuncts):
-// assuming `act` forces at least one disjunct, i.e. one property violation.
-encode::Lit make_violation_any(encode::CnfBuilder& cnf,
-                               const std::vector<encode::Lit>& disjuncts);
-
 class Engine {
 public:
   explicit Engine(sat::Solver& solver) : solver_(solver) {}
 
-  // See make_violation_any (kept as a member for call-site convenience).
-  encode::Lit violation_any(encode::CnfBuilder& cnf, const std::vector<encode::Lit>& disjuncts);
+  // Creates an activation literal `act` with clause act -> OR(disjuncts):
+  // assuming `act` forces at least one disjunct, i.e. one property violation.
+  static encode::Lit violation_any(encode::CnfBuilder& cnf,
+                                   const std::vector<encode::Lit>& disjuncts);
 
   CheckResult check(const BoundedProperty& property);
 
-  // Pure assumption-based query (the incremental-sweep path: candidate
-  // selection is entirely in the assumption set, nothing is encoded per
-  // check). On Holds, `core_out` (if non-null) receives the refuting subset
-  // of the assumptions (see Solver::conflict_assumptions) — on a
-  // verdict-cache hit it is the stored core of the original refutation.
+  // Pure assumption-based query (candidate selection is entirely in the
+  // assumption set, nothing is encoded per check). On Holds, `core_out` (if
+  // non-null) receives the refuting subset of the assumptions (see
+  // Solver::conflict_assumptions) — on a verdict-cache hit it is the stored
+  // core of the original refutation.
   CheckResult check_assumptions(const std::vector<encode::Lit>& assumptions,
                                 std::vector<encode::Lit>* core_out = nullptr);
 

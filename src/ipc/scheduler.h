@@ -10,32 +10,28 @@
 // entirely on its own solver, keeping learned clauses across solves and
 // iterations.
 //
-// Two sweep disciplines:
+// Sweep discipline: every candidate has a persistent activation literal
+// registered once in the miter (Miter::register_candidates), and each worker
+// scans its chunk one candidate per solve, assuming that candidate's
+// activation literal true — the query is exactly "diff(sv) satisfiable". A
+// model retires every still-unresolved chunk member it proves differing; an
+// UNSAT answer retires the candidate with a per-candidate assumption core,
+// surfaced in SweepResult::unsat_groups for frontier pruning. The store never
+// grows during a sweep, one snapshot serves the whole batch, nothing a worker
+// learned is ever invalidated, and a shared VerdictCache short-circuits
+// repeated UNSAT queries outright. Per-candidate cores mention only the eq
+// assumptions that one refutation needs, so they survive frontier shrinking
+// far better than a whole-chunk disjunction core would.
 //
-//  * Incremental (default): every candidate has a persistent activation
-//    literal registered once in the miter (Miter::register_candidates), and
-//    the worker scans its chunk one candidate per solve, assuming that
-//    candidate's activation literal true — the query is exactly "diff(sv)
-//    satisfiable". A model retires every still-unresolved chunk member it
-//    proves differing (same saturation harvest as before); an UNSAT answer
-//    retires the candidate with a per-candidate assumption core, surfaced in
-//    SweepResult::unsat_groups for frontier pruning. The store never grows
-//    during a sweep, one snapshot serves the whole batch, nothing a worker
-//    learned is ever invalidated, and a shared VerdictCache short-circuits
-//    repeated UNSAT queries outright. Per-candidate cores mention only the
-//    eq assumptions that one refutation needs, so they survive frontier
-//    shrinking far better than a whole-chunk disjunction core would.
-//
-//  * Legacy (SchedulerOptions::incremental = false): each round encodes a
-//    fresh activation literal guarding the chunk's diff disjunction, solves,
-//    harvests, shrinks, and retires the literal with a root unit afterwards.
-//    Kept as the re-encode baseline for bench_sweep_incremental.
+// This is the only saturating sweep in the engine: threads == 1 runs the same
+// code with a single worker executed inline on the calling thread (no pool
+// thread is spawned), so every thread count shares one code path.
 //
 // Determinism: the set a chunk reports is {sv in chunk : diff(sv) satisfiable},
 // which is a purely semantic property — independent of which models the
 // worker's CDCL search happens to find, of thread scheduling, and of the
-// number of workers. The merged, sorted union is therefore bit-identical to
-// the single-solver saturation result for any thread count.
+// number of workers. The merged, sorted union is therefore bit-identical for
+// any thread count.
 //
 // Concurrency protocol: the encoder (diff/activation literals) runs only on
 // the calling thread between batches; workers only read the store (hydration)
@@ -75,12 +71,10 @@ struct SweepResult {
   std::uint64_t imported = 0;                   // summed over workers
   std::vector<std::uint64_t> imported_per_worker;  // one entry per worker
   std::size_t solve_calls = 0;
-  unsigned rounds = 0;  // barrier rounds (legacy path; the incremental batch has one barrier)
 
-  // Refutations (incremental path only): one entry per candidate proven
-  // unable to differ, carrying the assumption core of that refutation. The
-  // upec layer mines these for UNSAT-core frontier pruning (see
-  // upec/incremental.h).
+  // Refutations: one entry per candidate proven unable to differ, carrying the
+  // assumption core of that refutation. The upec layer mines these for
+  // UNSAT-core frontier pruning (see upec/incremental.h).
   struct UnsatGroup {
     std::vector<rtlir::StateVarId> enabled;  // candidates enabled in the refuted query
     std::vector<sat::Lit> core;              // refuting subset of the assumptions
@@ -89,7 +83,7 @@ struct SweepResult {
 
   // Verdict-cache traffic during this sweep (zero with the cache off) and
   // the workers' combined live learnt-clause databases at sweep end — the
-  // clauses the incremental path retains across rounds and iterations.
+  // clauses the workers retain across sweeps and iterations.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::size_t retained_learnts = 0;
@@ -104,17 +98,11 @@ struct SweepResult {
 };
 
 struct SchedulerOptions {
+  // Worker solvers; 1 runs the single worker inline on the calling thread.
   unsigned threads = 1;
   std::uint64_t conflict_budget = 0;  // per solve call; 0 = unlimited
-  // Workers exchange low-LBD learnt clauses through a ClauseChannel (PR 3).
+  // Workers exchange low-LBD learnt clauses through a ClauseChannel.
   bool share_clauses = true;
-  // Persistent-activation sweeps: candidates are registered once in the
-  // miter and each solve activates one candidate purely through assumptions,
-  // so the store never grows mid-sweep and workers keep their learnt
-  // databases valid across solves *and* iterations. Off = legacy per-round
-  // activation literals with root-unit retirement (kept for the A/B
-  // benchmark).
-  bool incremental = true;
   // Shared verdict cache consulted by every worker before solving (nullptr
   // disables). Must outlive the scheduler.
   sat::VerdictCache* verdict_cache = nullptr;
@@ -135,15 +123,13 @@ struct SchedulerOptions {
   // Absolute wall-clock deadline for the whole run; backends answer Unknown
   // (timed_out) past it.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  // Snapshot preprocessing (sat/simplify.h) for the incremental sweep path:
-  // the sweep snapshot is simplified once on the calling thread — subsumption,
-  // bounded variable elimination, failed-literal probing — and every worker
-  // hydrates from the simplified generation instead of the raw store. Takes
-  // effect only when `frozen_vars` is installed: the provider names every
-  // variable the sweeps will assume or read back from worker models (the
-  // Simplifier soundness contract), so preprocessing without one would be
-  // unsound and is treated as disabled. The legacy path grows the store every
-  // round and is never preprocessed.
+  // Snapshot preprocessing (sat/simplify.h): the sweep snapshot is simplified
+  // once on the calling thread — subsumption, bounded variable elimination,
+  // failed-literal probing — and every worker hydrates from the simplified
+  // generation instead of the raw store. Takes effect only when `frozen_vars`
+  // is installed: the provider names every variable the sweeps will assume or
+  // read back from worker models (the Simplifier soundness contract), so
+  // preprocessing without one would be unsound and is treated as disabled.
   bool preprocess = true;
   sat::SimplifyOptions simplify;
   // Frozen-variable provider, called on the calling thread before each
@@ -162,13 +148,13 @@ struct SchedulerOptions {
 class CheckScheduler {
 public:
   // `options.threads` worker solvers, each with the given per-solve conflict
-  // budget. With sharing (and more than one worker), the workers exchange
-  // low-LBD learnt clauses through a ClauseChannel: exported at learn time,
-  // imported only at each worker's restart boundaries. Sharing only adds
-  // clauses already implied by the shared store, so it changes how fast a
-  // chunk's verdict is reached, never which verdict — the determinism
-  // contract below is unaffected (pinned by test_determinism with sharing on
-  // and off).
+  // budget. One worker runs inline on the calling thread; more get a pool. With
+  // sharing (and more than one worker), the workers exchange low-LBD learnt
+  // clauses through a ClauseChannel: exported at learn time, imported only at
+  // each worker's restart boundaries. Sharing only adds clauses already implied
+  // by the shared store, so it changes how fast a chunk's verdict is reached,
+  // never which verdict — the determinism contract below is unaffected (pinned
+  // by test_determinism with sharing on and off).
   CheckScheduler(sat::CnfStore& store, SchedulerOptions options);
 
   unsigned workers() const { return static_cast<unsigned>(backends_.size()); }
@@ -197,7 +183,7 @@ public:
   // The worker backends (tests inspect portfolio/supervised internals).
   sat::SolverBackend& backend(unsigned w) { return *backends_[w]; }
 
-  // True iff snapshot preprocessing is active for incremental sweeps.
+  // True iff snapshot preprocessing is active.
   bool preprocessing() const { return simplifier_ != nullptr; }
   // Cumulative preprocessing counters (all zero when preprocessing is off).
   sat::SimplifyStats simplify_stats() const {
@@ -205,16 +191,6 @@ public:
   }
 
 private:
-  SweepResult sweep_incremental(encode::Miter& miter,
-                                const std::vector<encode::Lit>& assumptions,
-                                const std::vector<rtlir::StateVarId>& candidates, unsigned frame);
-  SweepResult sweep_legacy(encode::Miter& miter, const std::vector<encode::Lit>& assumptions,
-                           const std::vector<rtlir::StateVarId>& candidates, unsigned frame);
-  void finalize(SweepResult& result, const std::vector<sat::SolverStats>& before,
-                const std::vector<std::uint64_t>& cache_hits_before,
-                const std::vector<std::uint64_t>& cache_misses_before, bool unknown,
-                std::chrono::steady_clock::time_point t0) const;
-
   sat::CnfStore& store_;
   SchedulerOptions options_;
   util::ThreadPool pool_;

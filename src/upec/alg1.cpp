@@ -31,40 +31,38 @@ void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
   usage.metrics.merge_prefixed("sat.solver.main.", main_m);
   usage.retained_learnts = ctx.solver.num_learnts();
 
-  if (ctx.scheduler) {
-    const std::vector<sat::SolverStats> worker_stats = ctx.scheduler->worker_stats();
-    usage.per_worker_members = ctx.scheduler->worker_member_stats();
-    usage.per_worker_cache_hits = ctx.scheduler->worker_cache_hits();
-    usage.per_worker_health = ctx.scheduler->worker_health();
-    const std::vector<std::size_t> live = ctx.scheduler->worker_live_learnts();
-    const unsigned W = ctx.scheduler->workers();
-    usage.per_worker.reserve(W);
-    for (unsigned w = 0; w < W; ++w) {
-      const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
-      util::MetricsSnapshot wm;
-      const std::vector<sat::SolverStats>& members = usage.per_worker_members[w];
-      if (members.empty()) {
-        sat::append_metrics(wm, worker_stats[w]);
-      } else {
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          util::MetricsSnapshot mm;
-          sat::append_metrics(mm, members[m]);
-          usage.metrics.merge_prefixed(wp + "m" + std::to_string(m) + ".", mm);
-          wm.merge(mm);
-        }
+  const std::vector<sat::SolverStats> worker_stats = ctx.scheduler->worker_stats();
+  usage.per_worker_members = ctx.scheduler->worker_member_stats();
+  usage.per_worker_cache_hits = ctx.scheduler->worker_cache_hits();
+  usage.per_worker_health = ctx.scheduler->worker_health();
+  const std::vector<std::size_t> live = ctx.scheduler->worker_live_learnts();
+  const unsigned W = ctx.scheduler->workers();
+  usage.per_worker.reserve(W);
+  for (unsigned w = 0; w < W; ++w) {
+    const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
+    util::MetricsSnapshot wm;
+    const std::vector<sat::SolverStats>& members = usage.per_worker_members[w];
+    if (members.empty()) {
+      sat::append_metrics(wm, worker_stats[w]);
+    } else {
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        util::MetricsSnapshot mm;
+        sat::append_metrics(mm, members[m]);
+        usage.metrics.merge_prefixed(wp + "m" + std::to_string(m) + ".", mm);
+        wm.merge(mm);
       }
-      usage.per_worker.push_back(sat::solver_stats_from_metrics(wm));
-      usage.metrics.merge_prefixed(wp, wm);
-      total_m.merge(wm);
-
-      util::MetricsSnapshot hm;
-      sat::append_metrics(hm, usage.per_worker_health[w]);
-      usage.metrics.merge_prefixed("sat.health.w" + std::to_string(w) + ".", hm);
-      usage.retained_learnts += live[w];
     }
-    usage.simplify = ctx.scheduler->simplify_stats();
-    usage.metrics.add_counter("sat.channel.published", ctx.scheduler->shared_clauses());
+    usage.per_worker.push_back(sat::solver_stats_from_metrics(wm));
+    usage.metrics.merge_prefixed(wp, wm);
+    total_m.merge(wm);
+
+    util::MetricsSnapshot hm;
+    sat::append_metrics(hm, usage.per_worker_health[w]);
+    usage.metrics.merge_prefixed("sat.health.w" + std::to_string(w) + ".", hm);
+    usage.retained_learnts += live[w];
   }
+  usage.simplify = ctx.scheduler->simplify_stats();
+  usage.metrics.add_counter("sat.channel.published", ctx.scheduler->shared_clauses());
   usage.total = sat::solver_stats_from_metrics(total_m);
   usage.metrics.merge_prefixed("sat.solver.total.", total_m);
 
@@ -107,7 +105,7 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     for (rtlir::StateVarId sv : S.to_vector()) {
       assumptions.push_back(ctx.miter.eq_assumption(sv));
     }
-    SweepOutcome out = sweep_frame(ctx, "UPEC-SSC", assumptions, S, 1, options.saturate_cex);
+    SweepOutcome out = sweep_frame(ctx, assumptions, S, 1, options.saturate_cex);
 
     log.seconds = out.seconds;
     log.conflicts = out.conflicts;
@@ -124,8 +122,8 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     if (!out.pers_hits.empty()) {
       // Victim data reaches persistent, attacker-accessible state.
       if (options.extract_waveform) {
-        result.waveform = extract_pers_waveform(ctx, "UPEC-SSC", assumptions, out, 1, log,
-                                                result.total_seconds);
+        result.waveform =
+            extract_pers_waveform(ctx, assumptions, out, 1, log, result.total_seconds);
       }
       result.iterations.push_back(std::move(log));
       result.verdict = Verdict::Vulnerable;

@@ -38,9 +38,9 @@ struct IterationLog {
   std::uint64_t conflicts = 0;
   ipc::CheckStatus status = ipc::CheckStatus::Unknown;
   std::vector<rtlir::StateVarId> removed;
-  // Incremental-sweep work avoidance this iteration (zero in legacy mode):
-  // candidates skipped because a recorded UNSAT core still refutes them, and
-  // verdict-cache traffic of the iteration's solves.
+  // Incremental-sweep work avoidance this iteration: candidates skipped
+  // because a recorded UNSAT core still refutes them, and verdict-cache
+  // traffic of the iteration's solves.
   std::size_t pruned = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -50,7 +50,7 @@ struct IterationLog {
 };
 
 // Cumulative solver statistics behind a verification run: the context's main
-// solver plus, under threads > 1, every scheduler worker. Reports aggregate
+// solver plus every scheduler worker (one at threads == 1). Reports aggregate
 // `total` and can break down `per_worker`.
 struct SolverUsage {
   // Derived from `metrics` below: the sum of the main solver and every
@@ -58,15 +58,14 @@ struct SolverUsage {
   // aggregation is routed through MetricsSnapshot::merge in
   // collect_solver_usage — nothing sums stats ad hoc anymore.
   sat::SolverStats total;
-  std::vector<sat::SolverStats> per_worker;  // empty when no scheduler ran
+  std::vector<sat::SolverStats> per_worker;  // one entry per scheduler worker
   // Worker w's portfolio-member breakdown (parallel to per_worker; empty
   // inner vector = single-solver worker). Members sum to per_worker[w].
   std::vector<std::vector<sat::SolverStats>> per_worker_members;
-  // Incremental-sweep counters (all zero with the features off): shared
-  // verdict-cache traffic (main solver + workers), candidates pruned via
-  // recorded UNSAT cores, and the learnt clauses still live in the solvers
-  // at collection time — the databases the incremental mode carries across
-  // rounds and iterations.
+  // Incremental-sweep counters: shared verdict-cache traffic (main solver +
+  // workers; zero with the cache off), candidates pruned via recorded UNSAT
+  // cores, and the learnt clauses still live in the solvers at collection
+  // time — the databases the sweeps carry across iterations.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t pruned_candidates = 0;
@@ -75,10 +74,10 @@ struct SolverUsage {
   // Per-worker robustness counters (parallel to per_worker; all-zero entries
   // for plain in-proc workers, populated under portfolio/external backends).
   std::vector<sat::BackendHealth> per_worker_health;
-  // Snapshot-preprocessing counters (all zero with preprocessing off or no
-  // scheduler): real simplifications vs generation-cache reuses, eliminated
-  // variables, removed/strengthened clauses, and the last run's formula
-  // shrinkage (see sat/simplify.h).
+  // Snapshot-preprocessing counters (all zero with preprocessing off): real
+  // simplifications vs generation-cache reuses, eliminated variables,
+  // removed/strengthened clauses, and the last run's formula shrinkage (see
+  // sat/simplify.h).
   sat::SimplifyStats simplify;
   // The unified named-counter registry for the run: per-component snapshots
   // under `sat.solver.main.`, `sat.solver.w<k>.`, `sat.solver.w<k>.m<j>.`,

@@ -35,8 +35,7 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
     for (rtlir::StateVarId sv : s0_members) {
       assumptions.push_back(ctx.miter.eq_assumption(sv));
     }
-    SweepOutcome out =
-        sweep_frame(ctx, "UPEC-SSC-unrolled", assumptions, S[k], k, options.saturate_cex);
+    SweepOutcome out = sweep_frame(ctx, assumptions, S[k], k, options.saturate_cex);
 
     step.iteration.seconds = out.seconds;
     step.iteration.conflicts = out.conflicts;
@@ -52,8 +51,8 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
 
     if (!out.pers_hits.empty()) {
       if (options.extract_waveform) {
-        result.waveform = extract_pers_waveform(ctx, "UPEC-SSC-unrolled", assumptions, out, k,
-                                                step.iteration, result.total_seconds);
+        result.waveform = extract_pers_waveform(ctx, assumptions, out, k, step.iteration,
+                                                result.total_seconds);
       }
       result.steps.push_back(std::move(step));
       result.verdict = Verdict::Vulnerable;

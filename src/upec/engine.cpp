@@ -47,29 +47,26 @@ UpecContext::UpecContext(const soc::Soc& s, VerifyOptions opts)
                                        std::chrono::milliseconds(options.deadline_ms))
                        : std::nullopt),
       s_pers(StateSet::none(svt)) {
-  if (options.threads > 1 || options.portfolio > 1 || !options.external_solver.empty()) {
-    ipc::SchedulerOptions so;
-    so.threads = options.threads;
-    so.conflict_budget = options.conflict_budget;
-    so.share_clauses = options.share_clauses;
-    so.incremental = options.incremental_sweeps;
-    so.verdict_cache = options.verdict_cache ? &verdict_cache : nullptr;
-    so.portfolio = options.portfolio;
-    so.portfolio_seed = options.portfolio_seed;
-    so.external_argv = options.external_solver;
-    so.external_deadline_ms = options.external_deadline_ms;
-    so.supervise = options.supervise;
-    so.deadline = run_deadline;
-    so.preprocess = options.preprocess;
-    so.frozen_vars = [this] { return frozen_vars(); };
-    if (options.progress_conflicts > 0) {
-      so.progress_every = options.progress_conflicts;
-      so.progress = [cb = options.progress](unsigned w, const sat::SolverProgress& p) {
-        relay_progress(cb, "w" + std::to_string(w), p);
-      };
-    }
-    scheduler = std::make_unique<ipc::CheckScheduler>(store, std::move(so));
+  ipc::SchedulerOptions so;
+  so.threads = options.threads;
+  so.conflict_budget = options.conflict_budget;
+  so.share_clauses = options.share_clauses;
+  so.verdict_cache = options.verdict_cache ? &verdict_cache : nullptr;
+  so.portfolio = options.portfolio;
+  so.portfolio_seed = options.portfolio_seed;
+  so.external_argv = options.external_solver;
+  so.external_deadline_ms = options.external_deadline_ms;
+  so.supervise = options.supervise;
+  so.deadline = run_deadline;
+  so.preprocess = options.preprocess;
+  so.frozen_vars = [this] { return frozen_vars(); };
+  if (options.progress_conflicts > 0) {
+    so.progress_every = options.progress_conflicts;
+    so.progress = [cb = options.progress](unsigned w, const sat::SolverProgress& p) {
+      relay_progress(cb, "w" + std::to_string(w), p);
+    };
   }
+  scheduler = std::make_unique<ipc::CheckScheduler>(store, std::move(so));
   miter.set_model_source(&solver);
   miter.set_exempt(
       [this](encode::Miter& m, rtlir::StateVarId sv) { return macros.exempt_for(m, sv); });

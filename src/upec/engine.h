@@ -40,14 +40,15 @@ struct VerifyOptions {
   MacroConfig macros;
   // Abort a single check after this many conflicts (0 = no limit).
   std::uint64_t conflict_budget = 0;
-  // Worker solvers for the per-state-variable checks of Alg. 1 / Alg. 2.
-  // 1 (default) keeps everything on the single incremental main solver;
-  // N > 1 fans each iteration across N solvers hydrated from the shared
-  // clause store. Results are bit-identical for every value (see
+  // Worker solvers for the per-state-variable checks of Alg. 1 / Alg. 2,
+  // each hydrated from the shared clause store. 1 (default) runs the single
+  // worker inline on the calling thread; N > 1 fans each iteration across a
+  // pool of N threads. Results are bit-identical for every value (see
   // ipc/scheduler.h).
   unsigned threads = 1;
-  // Worker-to-worker learned-clause sharing (effective only at threads > 1):
-  // workers export low-LBD learnt clauses into a shared channel and import
+  // Worker-to-worker learned-clause sharing (effective only when a channel
+  // has at least two participants: threads > 1 or portfolio > 1): solvers
+  // export low-LBD learnt clauses into a shared channel and import
   // foreign ones at restart boundaries, cutting the UNSAT work the chunked
   // sweep otherwise re-proves per worker. Verdicts and frontiers are
   // unaffected — shared clauses are implied by the common store — so this is
@@ -57,15 +58,6 @@ struct VerifyOptions {
   // Optional restriction of S_pers (e.g. "only the HWPE and public RAM" to
   // steer Alg. 1 toward a specific attack scenario in the case study).
   std::function<bool(rtlir::StateVarId)> s_pers_filter;
-  // Cross-iteration incremental sweeps: candidates get persistent activation
-  // literals encoded once (Miter::register_candidates) and every sweep round
-  // selects its subset purely through assumptions, so nothing is re-encoded
-  // per round and solvers keep their learnt databases valid across rounds
-  // and iterations; final refutation cores additionally prune candidates
-  // from later frontiers (upec/incremental.h). Verdicts and frontiers are
-  // bit-identical either way (test_determinism / test_incremental); off is
-  // the re-encode baseline for bench_sweep_incremental.
-  bool incremental_sweeps = true;
   // Cache UNSAT verdicts (with their assumption cores) keyed on the store
   // cursor and canonicalized assumption set, shared between the main solver
   // and every scheduler worker (sat/verdict_cache.h). Only repeated queries
@@ -84,7 +76,8 @@ struct VerifyOptions {
   // test_determinism. 1 (default) = off.
   unsigned portfolio = 1;
   std::uint64_t portfolio_seed = 0x5eedULL;
-  // Snapshot-level CNF preprocessing for scheduler workers (sat/simplify.h):
+  // Snapshot-level CNF preprocessing for scheduler workers (sat/simplify.h),
+  // at every thread count:
   // the sweep snapshot is simplified once per store generation — subsumption,
   // self-subsuming resolution, bounded variable elimination, failed-literal
   // probing — and every worker hydrates from the simplified view instead of
@@ -94,8 +87,8 @@ struct VerifyOptions {
   // UpecContext::frozen_vars and survives preprocessing untouched, and all
   // other rewriting is consequence-only or model-reconstructible. Verdicts,
   // frontiers and waveforms are bit-identical with preprocessing on or off
-  // (pinned by test_determinism). Inert on the main solver and therefore at
-  // threads == 1 without portfolio/external — only worker hydration changes.
+  // (pinned by test_determinism). The main solver (single-model ablation,
+  // waveform epilogue) is never preprocessed — only worker hydration changes.
   bool preprocess = true;
   // External DIMACS solver command raced/consulted per worker under the
   // supervision policy below (sat/supervise.h): per-solve deadline, restart
@@ -138,12 +131,8 @@ public:
   std::unique_ptr<util::trace::TraceSession> trace_session;
   rtlir::StateVarTable svt;
   // Shared clause database: everything the encode layer emits is recorded
-  // here (through `sink`) so scheduler workers — and DIMACS exports — can be
-  // hydrated from an immutable snapshot at any point. Deliberately recorded
-  // even at threads == 1: the store is the canonical formula record (a
-  // threads-conditional store would make snapshot exports silently empty on
-  // default runs), at the cost of one uncontended lock + clause copy per
-  // emission and a duplicate of the CNF in memory.
+  // here (through `sink`) so scheduler workers — at every thread count — and
+  // DIMACS exports can be hydrated from an immutable snapshot at any point.
   sat::CnfStore store;
   sat::Solver solver; // main solver; always current via `sink`
   sat::TeeSink sink;  // solver + store
@@ -160,8 +149,8 @@ public:
   // Absolute deadline derived from options.deadline_ms at construction
   // (nullopt = unlimited); installed on the main solver and every worker.
   std::optional<std::chrono::steady_clock::time_point> run_deadline;
-  // Non-null iff any check needs fan-out machinery: options.threads > 1,
-  // options.portfolio > 1, or an external solver is configured.
+  // Runs every saturating sweep (upec/sweep.h); always built, with
+  // options.threads workers (one worker runs inline on the calling thread).
   std::unique_ptr<ipc::CheckScheduler> scheduler;
   StateSet s_pers; // after filtering
 

@@ -37,11 +37,12 @@ void render_hits(std::ostringstream& os, const UpecContext& ctx,
 }
 
 // Aggregated solver statistics: the main solver plus every scheduler worker
-// (the single context solver alone under-counts as soon as threads > 1).
+// (the sweeps run on the workers, so the main solver alone under-counts).
 void render_solver_usage(std::ostringstream& os, const SolverUsage& usage) {
   const sat::SolverStats& t = usage.total;
+  const std::size_t W = usage.per_worker.size();
   os << "solver usage (main";
-  if (!usage.per_worker.empty()) os << " + " << usage.per_worker.size() << " workers";
+  if (W != 0) os << " + " << W << (W == 1 ? " worker" : " workers");
   os << "): " << t.solve_calls << " solves, " << t.conflicts << " conflicts, " << t.decisions
      << " decisions, " << t.propagations << " propagations";
   if (t.exported_clauses != 0 || t.imported_clauses != 0) {

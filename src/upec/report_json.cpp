@@ -27,8 +27,6 @@ void write_config(util::JsonWriter& w, const VerifyOptions& o) {
   w.value(o.threads);
   w.key("share_clauses");
   w.value(o.share_clauses);
-  w.key("incremental_sweeps");
-  w.value(o.incremental_sweeps);
   w.key("verdict_cache");
   w.value(o.verdict_cache);
   w.key("deadline_ms");

@@ -1,6 +1,5 @@
 #include "upec/sweep.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "upec/alg1.h"
@@ -11,161 +10,37 @@ namespace upec {
 
 namespace {
 
-// The classic single-solver path: incremental counterexample saturation on
-// the context's main solver. Solve the disjunction of the remaining diff
-// literals, harvest every differing variable from the model, shrink, repeat
-// until UNSAT (or, with saturate == false, stop after the first model).
-//
-// CheckScheduler::sweep (ipc/scheduler.cpp) runs the same harvest/shrink
-// step per chunk; the two implementations stay separate because they differ
-// structurally (BoundedProperty on the context engine vs backend rounds with
-// a barrier), and their agreement is semantic — both converge on
-// {sv : diff(sv) satisfiable} — not textual. test_determinism pins it.
-SweepOutcome sweep_sequential_legacy(UpecContext& ctx, const std::string& property_name,
-                                     const std::vector<encode::Lit>& assumptions,
-                                     const std::vector<rtlir::StateVarId>& members,
-                                     unsigned frame, bool saturate) {
+// Single-model ablation (saturate_cex = false): one group-selected solve on
+// the main solver, stopping at the first model. Per-candidate scanning (the
+// scheduler's sweep) would change which model is reported, so this stays on
+// the main solver regardless of the thread count.
+SweepOutcome sweep_single_model(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
+                                const std::vector<rtlir::StateVarId>& members, unsigned frame) {
   SweepOutcome out;
-  std::vector<rtlir::StateVarId> remaining = members;
-
-  ipc::BoundedProperty prop;
-  prop.name = property_name;
-  prop.window = frame;
-  prop.assumptions = assumptions;
-
-  bool unknown = false;
-  bool inconsistent = false;
-  while (!remaining.empty()) {
-    std::vector<encode::Lit> diffs;
-    diffs.reserve(remaining.size());
-    for (rtlir::StateVarId sv : remaining) diffs.push_back(ctx.miter.diff_literal(sv, frame));
-    prop.violation = ctx.engine.violation_any(ctx.miter.cnf(), diffs);
-
-    const ipc::CheckResult check = ctx.engine.check(prop);
-    // The violation literal is single-use: pin it false at the root so the
-    // disjunction clause it guards goes dead for BCP (and for every worker
-    // that later hydrates it) instead of accumulating round after round.
-    // Model reads below are unaffected — they consult the saved model, not
-    // the trail this unit re-propagates.
-    ctx.miter.cnf().add_clause(std::vector<encode::Lit>{~prop.violation});
-    out.seconds += check.seconds;
-    out.conflicts += check.conflicts;
-    if (check.status == ipc::CheckStatus::Unknown) {
-      unknown = true;
-      out.timed_out = out.timed_out || check.timed_out;
-      break;
-    }
-    if (check.status == ipc::CheckStatus::Holds) break;
-
-    std::vector<rtlir::StateVarId> newly;
-    for (rtlir::StateVarId sv : remaining) {
-      if (ctx.miter.differs_in_model(sv, frame)) newly.push_back(sv);
-    }
-    if (newly.empty()) {
-      // A violation with no extractable difference would mean the diff
-      // literals and the model disagree; stop rather than loop.
-      inconsistent = true;
-      break;
-    }
-    out.s_cex.insert(out.s_cex.end(), newly.begin(), newly.end());
-    std::erase_if(remaining, [&](rtlir::StateVarId sv) {
-      return std::find(newly.begin(), newly.end(), sv) != newly.end();
-    });
-    if (!saturate) break;
+  if (members.empty()) {
+    out.status = ipc::CheckStatus::Holds;  // nothing left that could differ
+    return out;
   }
-
-  std::sort(out.s_cex.begin(), out.s_cex.end());
-  out.status = (unknown || inconsistent)  ? ipc::CheckStatus::Unknown
-               : out.s_cex.empty()        ? ipc::CheckStatus::Holds
-                                          : ipc::CheckStatus::Violated;
-  return out;
-}
-
-// Incremental single-solver path: candidates are registered once with
-// persistent activation literals and the saturating sweep then scans them
-// one candidate per solve — assume the candidate's activation literal true
-// (the query is exactly "diff(sv) satisfiable") and harvest every other
-// still-unresolved candidate the model happens to prove differing. No
-// violation literal, no retirement unit, no store growth, and each UNSAT
-// answer comes with a per-candidate assumption core for frontier pruning.
-// Per-candidate queries beat the legacy disjunction structurally: a SAT
-// model retires many candidates at once exactly as before, while the UNSAT
-// confirmations — the dominant cost on the secure workload — never pay for
-// the selector indirection of a group disjunction, and their cores mention
-// only the eq assumptions that one candidate's refutation needs.
-SweepOutcome sweep_sequential_incremental(UpecContext& ctx,
-                                          const std::vector<encode::Lit>& assumptions,
-                                          const std::vector<rtlir::StateVarId>& members,
-                                          unsigned frame, bool saturate) {
-  SweepOutcome out;
   const std::uint64_t hits0 = ctx.engine.cache_hits();
   const std::uint64_t misses0 = ctx.engine.cache_misses();
   ctx.miter.register_candidates(members, frame);
 
-  bool unknown = false;
+  std::vector<encode::Lit> as = assumptions;
+  ctx.miter.select_candidates(frame, members, as);
+  const ipc::CheckResult check = ctx.engine.check_assumptions(as);
+  out.seconds = check.seconds;
+  out.conflicts = check.conflicts;
+  out.timed_out = check.timed_out;
   bool inconsistent = false;
-  if (saturate) {
-    // Members arrive sorted (StateSet::to_vector), so the scan order — and
-    // with it every query — is independent of how earlier models looked.
-    std::vector<char> resolved(members.size(), 0);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (resolved[i]) continue;
-      std::vector<encode::Lit> as = assumptions;
-      as.push_back(ctx.miter.activation_literal(members[i], frame));
-      std::vector<encode::Lit> core;
-      const ipc::CheckResult check = ctx.engine.check_assumptions(as, &core);
-      out.seconds += check.seconds;
-      out.conflicts += check.conflicts;
-      if (check.status == ipc::CheckStatus::Unknown) {
-        unknown = true;
-        out.timed_out = out.timed_out || check.timed_out;
-        break;
-      }
-      if (check.status == ipc::CheckStatus::Holds) {
-        resolved[i] = 1;
-        out.unsat_groups.push_back(ipc::SweepResult::UnsatGroup{{members[i]}, std::move(core)});
-        continue;
-      }
-      bool harvested = false;
-      for (std::size_t j = 0; j < members.size(); ++j) {
-        if (resolved[j] || !ctx.miter.differs_in_model(members[j], frame)) continue;
-        resolved[j] = 1;
-        out.s_cex.push_back(members[j]);
-        harvested = true;
-      }
-      if (!harvested) {
-        // The query assumed diff(members[i]) true, so a model that shows no
-        // difference means the diff literals and the model disagree.
-        inconsistent = true;
-        break;
-      }
+  if (check.status == ipc::CheckStatus::Violated) {
+    for (rtlir::StateVarId sv : members) {
+      if (ctx.miter.differs_in_model(sv, frame)) out.s_cex.push_back(sv);
     }
-  } else {
-    // Single-model ablation: one group-selected solve, stop at the first
-    // model (per-candidate scanning would change which model is reported).
-    std::vector<encode::Lit> as = assumptions;
-    ctx.miter.select_candidates(frame, members, as);
-    std::vector<encode::Lit> core;
-    const ipc::CheckResult check = ctx.engine.check_assumptions(as, &core);
-    out.seconds += check.seconds;
-    out.conflicts += check.conflicts;
-    if (check.status == ipc::CheckStatus::Unknown) {
-      unknown = true;
-      out.timed_out = out.timed_out || check.timed_out;
-    } else if (check.status == ipc::CheckStatus::Holds) {
-      out.unsat_groups.push_back(ipc::SweepResult::UnsatGroup{members, std::move(core)});
-    } else {
-      for (rtlir::StateVarId sv : members) {
-        if (ctx.miter.differs_in_model(sv, frame)) out.s_cex.push_back(sv);
-      }
-      if (out.s_cex.empty()) inconsistent = true;
-    }
+    // A model of "some member differs" that shows no difference means the
+    // diff literals and the model disagree.
+    inconsistent = out.s_cex.empty();
   }
-
-  std::sort(out.s_cex.begin(), out.s_cex.end());
-  out.status = (unknown || inconsistent)  ? ipc::CheckStatus::Unknown
-               : out.s_cex.empty()        ? ipc::CheckStatus::Holds
-                                          : ipc::CheckStatus::Violated;
+  out.status = inconsistent ? ipc::CheckStatus::Unknown : check.status;
   out.cache_hits = ctx.engine.cache_hits() - hits0;
   out.cache_misses = ctx.engine.cache_misses() - misses0;
   return out;
@@ -173,24 +48,23 @@ SweepOutcome sweep_sequential_incremental(UpecContext& ctx,
 
 } // namespace
 
-SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
-                         const std::vector<encode::Lit>& assumptions, const StateSet& S,
-                         unsigned frame, bool saturate) {
+SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
+                         const StateSet& S, unsigned frame, bool saturate) {
   util::trace::Span span("upec.sweep_frame", "upec");
   span.arg("frame", std::uint64_t{frame});
   std::vector<rtlir::StateVarId> members = S.to_vector();
   span.arg("candidates", static_cast<std::uint64_t>(members.size()));
   SweepOutcome out;
-
-  // UNSAT-core frontier pruning (incremental mode, saturating sweeps only —
-  // in the single-model ablation pruning could change which model the solver
-  // finds, i.e. the reported set). A pruned candidate is one whose recorded
-  // refutation core is entailed by the current assumptions, so dropping it
-  // cannot change the semantic frontier — only skip re-proving it.
-  const bool incremental = ctx.options.incremental_sweeps;
-  std::unordered_set<rtlir::StateVarId> eq_assumed;
-  std::unordered_set<std::int32_t> assumption_lits;
-  if (incremental && saturate) {
+  if (!saturate) {
+    out = sweep_single_model(ctx, assumptions, members, frame);
+  } else {
+    // UNSAT-core frontier pruning (saturating sweeps only — in the
+    // single-model ablation pruning could change which model the solver
+    // finds, i.e. the reported set). A pruned candidate is one whose recorded
+    // refutation core is entailed by the current assumptions, so dropping it
+    // cannot change the semantic frontier — only skip re-proving it.
+    std::unordered_set<rtlir::StateVarId> eq_assumed;
+    std::unordered_set<std::int32_t> assumption_lits;
     rtlir::StateVarId sv = 0;
     for (encode::Lit a : assumptions) {
       assumption_lits.insert(a.index());
@@ -199,48 +73,31 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
     std::vector<rtlir::StateVarId> eligible, pruned;
     ctx.pruner.filter(frame, members, eq_assumed, assumption_lits, eligible, pruned);
     out.pruned = pruned.size();
-    members = std::move(eligible);
-  }
 
-  // The scheduler always saturates (only the complete frontier is a semantic,
-  // thread-count-independent set). The non-saturating ablation mode
-  // (saturate_cex = false) is inherently single-model, so it stays on the
-  // main solver regardless of the threads option — this keeps its results
-  // identical across thread counts too.
-  if (members.empty()) {
-    // Everything pruned (or S empty): the frontier is proven empty without a
-    // single solver call.
-    out.status = ipc::CheckStatus::Holds;
-  } else if (ctx.scheduler && saturate) {
-    ipc::SweepResult r = ctx.scheduler->sweep(ctx.miter, assumptions, members, frame);
-    out.status = r.status;
-    out.s_cex = std::move(r.differing);
-    out.seconds = r.seconds;
-    out.conflicts = r.conflicts;
-    out.cache_hits = r.cache_hits;
-    out.cache_misses = r.cache_misses;
-    out.unsat_groups = std::move(r.unsat_groups);
-    out.timed_out = r.timed_out;
-  } else if (incremental) {
-    SweepOutcome seq = sweep_sequential_incremental(ctx, assumptions, members, frame, saturate);
-    seq.pruned = out.pruned;
-    out = std::move(seq);
-  } else {
-    SweepOutcome seq =
-        sweep_sequential_legacy(ctx, property_name, assumptions, members, frame, saturate);
-    seq.pruned = out.pruned;
-    out = std::move(seq);
-  }
+    if (eligible.empty()) {
+      // Everything pruned (or S empty): the frontier is proven empty without
+      // a single solver call.
+      out.status = ipc::CheckStatus::Holds;
+    } else {
+      ipc::SweepResult r = ctx.scheduler->sweep(ctx.miter, assumptions, eligible, frame);
+      out.status = r.status;
+      out.s_cex = std::move(r.differing);
+      out.seconds = r.seconds;
+      out.conflicts = r.conflicts;
+      out.cache_hits = r.cache_hits;
+      out.cache_misses = r.cache_misses;
+      out.unsat_groups = std::move(r.unsat_groups);
+      out.timed_out = r.timed_out;
+    }
 
-  // Mine the final refutation cores: each justifies every candidate that was
-  // still enabled, and stays valid as long as its assumptions are re-assumed
-  // (see upec/incremental.h). Core literals split into eq-assumption state
-  // variables, other assumptions (macros), and selector literals — the
-  // latter identified by absence from the assumption set and dropped.
-  if (incremental && saturate) {
+    // Mine the final refutation cores: each justifies every candidate that
+    // was still enabled, and stays valid as long as its assumptions are
+    // re-assumed (see upec/incremental.h). Core literals split into
+    // eq-assumption state variables, other assumptions (macros), and selector
+    // literals — the latter identified by absence from the assumption set and
+    // dropped.
     for (const ipc::SweepResult::UnsatGroup& group : out.unsat_groups) {
       FrontierPruner::Justification just;
-      rtlir::StateVarId sv = 0;
       for (sat::Lit l : group.core) {
         if (ctx.miter.eq_assumption_var(l, &sv)) {
           just.eq_svs.push_back(sv);
@@ -252,7 +109,6 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
     }
   }
 
-  out.pers_hits.clear();
   for (rtlir::StateVarId sv : out.s_cex) {
     if (ctx.in_s_pers(sv)) out.pers_hits.push_back(sv);
   }
@@ -260,37 +116,19 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
 }
 
 std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
-                                                   const std::string& property_name,
                                                    const std::vector<encode::Lit>& assumptions,
                                                    const SweepOutcome& out, unsigned frame,
                                                    IterationLog& log, double& total_seconds) {
   util::trace::Span span("upec.waveform", "upec");
   span.arg("frame", std::uint64_t{frame});
   span.arg("pers_hits", static_cast<std::uint64_t>(out.pers_hits.size()));
-  ipc::CheckResult check;
-  if (ctx.options.incremental_sweeps) {
-    // The persistent hits are registered candidates (pers_hits ⊆ s_cex ⊆ the
-    // swept set), so restricting the violation to them is pure assumption
-    // selection — no new encoding, and the solve lands on the main solver
-    // whose model the waveform extractor reads.
-    std::vector<encode::Lit> as = assumptions;
-    ctx.miter.select_candidates(frame, out.pers_hits, as);
-    check = ctx.engine.check_assumptions(as);
-  } else {
-    std::vector<encode::Lit> diffs;
-    diffs.reserve(out.pers_hits.size());
-    for (rtlir::StateVarId sv : out.pers_hits) diffs.push_back(ctx.miter.diff_literal(sv, frame));
-
-    ipc::BoundedProperty prop;
-    prop.name = property_name + "-cex";
-    prop.window = frame;
-    prop.assumptions = assumptions;
-    prop.violation = ctx.engine.violation_any(ctx.miter.cnf(), diffs);
-
-    check = ctx.engine.check(prop);
-    // Single-use violation literal; retire it (see sweep_sequential_legacy).
-    ctx.miter.cnf().add_clause(std::vector<encode::Lit>{~prop.violation});
-  }
+  // The persistent hits are registered candidates (pers_hits ⊆ s_cex ⊆ the
+  // swept set), so restricting the violation to them is pure assumption
+  // selection — no new encoding, and the solve lands on the main solver
+  // whose model the waveform extractor reads.
+  std::vector<encode::Lit> as = assumptions;
+  ctx.miter.select_candidates(frame, out.pers_hits, as);
+  const ipc::CheckResult check = ctx.engine.check_assumptions(as);
   log.seconds += check.seconds;
   log.conflicts += check.conflicts;
   total_seconds += check.seconds;

@@ -84,8 +84,11 @@ bool Subprocess::spawn(const std::vector<std::string>& argv) {
   }
 
   if (pid == 0) {
-    // Child. Route the pipes to stdin/stdout, drop every parent-side fd, and
-    // exec. Only async-signal-safe calls from here on.
+    // Child. Lead a fresh process group, so terminate() can signal every
+    // process this child starts (a shell wrapper's background jobs) and not
+    // just the child itself. Then route the pipes to stdin/stdout, drop every
+    // parent-side fd, and exec. Only async-signal-safe calls from here on.
+    ::setpgid(0, 0);
     ::dup2(in_pipe[0], STDIN_FILENO);
     ::dup2(out_pipe[1], STDOUT_FILENO);
     ::close(in_pipe[0]);
@@ -100,7 +103,10 @@ bool Subprocess::spawn(const std::vector<std::string>& argv) {
     _exit(127);  // exec failed; 127 is the shell convention for "not found"
   }
 
-  // Parent. Keep our ends non-blocking: all waiting happens in poll(2) so
+  // Parent. Set the group too, so it exists before any kill(-pid) below no
+  // matter which side runs first (fails harmlessly once the child exec'd).
+  ::setpgid(pid, pid);
+  // Keep our ends non-blocking: all waiting happens in poll(2) so
   // deadlines hold even against a child that never reads or never writes.
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
@@ -193,33 +199,37 @@ Subprocess::ExitStatus Subprocess::terminate(std::chrono::milliseconds grace) {
   if (!running()) return status;
   close_stdin();  // EOF first: a well-behaved child exits on its own
 
-  if (try_wait(status)) {
-    close_fds();
-    return status;
-  }
-
-  ::kill(pid_, SIGTERM);
-  const auto deadline = Clock::now() + grace;
-  while (Clock::now() < deadline) {
-    if (try_wait(status)) {
-      close_fds();
-      return status;
+  // Until the reap below the child stays a zombie at worst, so its pid — and
+  // with it the process-group id — cannot be reused by an unrelated process
+  // while we signal the group.
+  if (!exited_unreaped()) {
+    ::kill(-pid_, SIGTERM);
+    const auto deadline = Clock::now() + grace;
+    while (Clock::now() < deadline && !exited_unreaped()) {
+      struct timespec ts = {0, 2'000'000};  // 2 ms between polls
+      ::nanosleep(&ts, nullptr);
     }
-    struct timespec ts = {0, 2'000'000};  // 2 ms between reap polls
-    ::nanosleep(&ts, nullptr);
   }
 
-  // Grace expired: no more chances. SIGKILL cannot be caught, so the
-  // blocking reap below terminates (the DAOS lesson: a supervisor that
-  // "shuts down nicely" forever is itself a hang).
-  ::kill(pid_, SIGKILL);
+  // No more chances, for the child or anything it left running in its
+  // group: SIGKILL cannot be caught, so the blocking reap below terminates
+  // (the DAOS lesson: a supervisor that "shuts down nicely" forever is itself
+  // a hang), and no grandchild outlives us holding our pipes open.
+  ::kill(-pid_, SIGKILL);
   int raw = 0;
   while (::waitpid(pid_, &raw, 0) < 0 && errno == EINTR) {
   }
   status = decode(raw);
   pid_ = -1;
+  trace::instant("subprocess.exit", "subprocess");
   close_fds();
   return status;
+}
+
+bool Subprocess::exited_unreaped() const {
+  siginfo_t info{};
+  return ::waitid(P_PID, static_cast<id_t>(pid_), &info, WEXITED | WNOHANG | WNOWAIT) == 0 &&
+         info.si_pid == pid_;
 }
 
 } // namespace upec::util

@@ -5,9 +5,10 @@
 // hang, crash, stop reading input, or print garbage — so every blocking
 // operation takes a wall-clock deadline (implemented with poll(2)) and
 // shutdown always escalates SIGTERM → grace window → SIGKILL → reap. The
-// destructor performs the same escalation with a zero grace window, so a
-// Subprocess can never leak a zombie or leave an orphan running, no matter
-// which error path dropped it.
+// child leads its own process group and the signals go to the whole group,
+// so nothing the child started outlives it. The destructor performs the same
+// escalation with a zero grace window, so a Subprocess can never leak a
+// zombie or leave an orphan running, no matter which error path dropped it.
 //
 // SIGPIPE note: writing to a child that died would otherwise kill *us* with
 // SIGPIPE. spawn() ignores SIGPIPE process-wide once (the write then fails
@@ -79,8 +80,9 @@ public:
   // gone; the pid is released.
   bool try_wait(ExitStatus& status);
 
-  // SIGTERM, then up to `grace` for a voluntary exit, then SIGKILL, then a
-  // blocking reap. Safe on an already-exited child. Returns the exit status.
+  // SIGTERM to the child's process group, then up to `grace` for the child
+  // to exit, then SIGKILL to the group, then a blocking reap of the child.
+  // Safe on an already-exited child. Returns the child's exit status.
   ExitStatus terminate(std::chrono::milliseconds grace);
 
   // terminate() with zero grace — the destructor's path, public for tests.
@@ -88,6 +90,8 @@ public:
 
 private:
   void close_fds();
+  // True once the child exited; leaves it unreaped (waitid WNOWAIT).
+  bool exited_unreaped() const;
 
   pid_t pid_ = -1;
   int stdin_fd_ = -1;

@@ -72,8 +72,14 @@ TEST(Determinism, VulnerableAlg1IdenticalAcrossThreadCounts) {
   const Alg1Result par = verify_2cycle(soc, with_threads({}, 4));
   ASSERT_EQ(seq.verdict, Verdict::Vulnerable);
   expect_same_alg1(seq, par);
-  EXPECT_TRUE(seq.stats.per_worker.empty());
+  // threads = 1 runs the same scheduler sweep with one inline worker.
+  EXPECT_EQ(seq.stats.per_worker.size(), 1u);
   EXPECT_EQ(par.stats.per_worker.size(), 4u);
+  // The verdict cache only short-circuits repeated refutations: turning it
+  // off must not move a frontier either.
+  VerifyOptions no_cache = with_threads({}, 4);
+  no_cache.verdict_cache = false;
+  expect_same_alg1(seq, verify_2cycle(soc, no_cache));
 }
 
 TEST(Determinism, SecureAlg1IdenticalAcrossThreadCounts) {
@@ -82,6 +88,11 @@ TEST(Determinism, SecureAlg1IdenticalAcrossThreadCounts) {
   const Alg1Result par = verify_2cycle(soc, with_threads(countermeasure_options(), 4));
   ASSERT_EQ(seq.verdict, Verdict::Secure);
   expect_same_alg1(seq, par);
+  VerifyOptions no_cache = with_threads(countermeasure_options(), 4);
+  no_cache.verdict_cache = false;
+  const Alg1Result uncached = verify_2cycle(soc, no_cache);
+  expect_same_alg1(seq, uncached);
+  EXPECT_EQ(uncached.stats.cache_hits + uncached.stats.cache_misses, 0u);
 }
 
 TEST(Determinism, SecureAlg1AlsoMatchesOddThreadCount) {
@@ -122,43 +133,6 @@ TEST(Determinism, VulnerableClauseSharingToggleIdentical) {
   for (bool share : {false, true}) {
     const Alg1Result par = verify_2cycle(soc, with_sharing({}, 4, share), opts);
     SCOPED_TRACE(share ? "sharing on" : "sharing off");
-    expect_same_alg1(seq, par);
-  }
-}
-
-VerifyOptions with_incremental(VerifyOptions options, unsigned threads, bool incremental) {
-  options.threads = threads;
-  options.incremental_sweeps = incremental;
-  options.verdict_cache = incremental;
-  return options;
-}
-
-TEST(Determinism, SecureIncrementalToggleIdenticalAcrossThreadCounts) {
-  // Persistent-activation sweeps, the verdict cache and core pruning only
-  // remove re-proving work; the semantic frontiers cannot react to either
-  // toggle or to the thread count. Baseline is the legacy re-encode path.
-  const soc::Soc soc = small_soc();
-  const Alg1Result seq = verify_2cycle(soc, with_incremental(countermeasure_options(), 1, false));
-  ASSERT_EQ(seq.verdict, Verdict::Secure);
-  for (unsigned threads : {1u, 3u, 4u}) {
-    const Alg1Result par =
-        verify_2cycle(soc, with_incremental(countermeasure_options(), threads, true));
-    SCOPED_TRACE("threads=" + std::to_string(threads) + " incremental=on");
-    expect_same_alg1(seq, par);
-  }
-}
-
-TEST(Determinism, VulnerableIncrementalToggleIdentical) {
-  // Same toggle on the vulnerable baseline: SAT-side counterexample
-  // harvesting must not react to persistent activation or cached UNSATs.
-  const soc::Soc soc = small_soc();
-  Alg1Options opts;
-  opts.extract_waveform = false;
-  const Alg1Result seq = verify_2cycle(soc, with_incremental({}, 1, false), opts);
-  ASSERT_EQ(seq.verdict, Verdict::Vulnerable);
-  for (unsigned threads : {1u, 4u}) {
-    const Alg1Result par = verify_2cycle(soc, with_incremental({}, threads, true), opts);
-    SCOPED_TRACE("threads=" + std::to_string(threads) + " incremental=on");
     expect_same_alg1(seq, par);
   }
 }
@@ -211,8 +185,8 @@ TEST(Determinism, SecurePreprocessToggleIdenticalAcrossThreadCounts) {
   // frozen-variable contract: every assumed or harvested literal survives
   // verbatim and all other rewriting is consequence-only. Frontiers and
   // verdicts therefore cannot react to the toggle or the thread count. The
-  // legacy single-solver run (threads = 1, preprocessing inert) is the
-  // baseline the whole matrix must match.
+  // unpreprocessed threads = 1 run is the baseline the whole matrix must
+  // match; preprocessing applies at every thread count, threads = 1 included.
   const soc::Soc soc = small_soc();
   const Alg1Result seq = verify_2cycle(soc, with_preprocess(countermeasure_options(), 1, false));
   ASSERT_EQ(seq.verdict, Verdict::Secure);
@@ -223,15 +197,15 @@ TEST(Determinism, SecurePreprocessToggleIdenticalAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " preprocess=" + std::to_string(preprocess));
       expect_same_alg1(seq, par);
-      if (preprocess && threads > 1) {
+      if (preprocess) {
         // The simplifier really ran, shrank the formula, and never touched a
         // frozen variable (the soundness tripwire).
         EXPECT_GE(par.stats.simplify.runs, 1u);
         EXPECT_GT(par.stats.simplify.eliminated_vars, 0u);
         EXPECT_EQ(par.stats.simplify.frozen_eliminations, 0u);
         EXPECT_LT(par.stats.simplify.output_clauses, par.stats.simplify.input_clauses);
-      } else if (threads == 1) {
-        EXPECT_EQ(par.stats.simplify.runs, 0u);  // no scheduler, no preprocessing
+      } else {
+        EXPECT_EQ(par.stats.simplify.runs, 0u);
       }
     }
   }
@@ -345,7 +319,7 @@ TEST(Determinism, SecureProgressToggleIdentical) {
 
 TEST(Determinism, NonSaturatingModeBypassesSchedulerAndStaysIdentical) {
   // saturate_cex = false is a single-model ablation; it must run on the main
-  // solver even under threads > 1 so its (model-order-dependent) results
+  // solver at every thread count so its (model-order-dependent) results
   // cannot diverge across thread counts.
   const soc::Soc soc = small_soc();
   Alg1Options opts;
@@ -357,10 +331,12 @@ TEST(Determinism, NonSaturatingModeBypassesSchedulerAndStaysIdentical) {
   const Alg1Result seq = run_alg1(seq_ctx, opts);
   const Alg1Result par = run_alg1(par_ctx, opts);
   expect_same_alg1(seq, par);
-  // No sweep ran on the workers.
-  std::uint64_t worker_solves = 0;
-  for (const auto& w : par.stats.per_worker) worker_solves += w.solve_calls;
-  EXPECT_EQ(worker_solves, 0u);
+  // No sweep ran on the workers, at either thread count.
+  for (const Alg1Result* r : {&seq, &par}) {
+    std::uint64_t worker_solves = 0;
+    for (const auto& w : r->stats.per_worker) worker_solves += w.solve_calls;
+    EXPECT_EQ(worker_solves, 0u);
+  }
 }
 
 TEST(Determinism, WorkerBreakdownAppearsInReport) {

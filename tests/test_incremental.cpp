@@ -3,10 +3,9 @@
 // cache (sat/verdict_cache.h), and UNSAT-core frontier pruning
 // (upec/incremental.h).
 //
-// The determinism side (incremental / cache toggles × thread counts must
-// produce bit-identical frontiers) is additionally pinned in
-// test_determinism; this file covers the machinery itself plus the
-// end-to-end work-avoidance effects.
+// The determinism side (thread counts must produce bit-identical frontiers)
+// is pinned in test_determinism; this file covers the machinery itself plus
+// the end-to-end work-avoidance effects.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -278,40 +277,6 @@ TEST(IncrementalSweeps, RerunSeededWithFinalSIsFullyPruned) {
   const std::string report = render_report(ctx, r2);
   EXPECT_NE(report.find("incremental sweeps:"), std::string::npos) << report;
   EXPECT_NE(report.find("pruned"), std::string::npos) << report;
-}
-
-TEST(IncrementalSweeps, ToggleOffMatchesToggleOnAlg1) {
-  // The incremental machinery only removes work: frontiers, verdicts and
-  // iteration shapes are bit-identical with it on or off, for both verdicts.
-  const soc::Soc soc = tiny_soc();
-  Alg1Options opts;
-  opts.extract_waveform = false;
-
-  for (const bool secure : {true, false}) {
-    VerifyOptions on = secure ? countermeasure_options() : VerifyOptions{};
-    VerifyOptions off = on;
-    off.incremental_sweeps = false;
-    off.verdict_cache = false;
-
-    UpecContext ctx_on(soc, on);
-    UpecContext ctx_off(soc, off);
-    const Alg1Result a = run_alg1(ctx_on, opts);
-    const Alg1Result b = run_alg1(ctx_off, opts);
-    SCOPED_TRACE(secure ? "secure" : "vulnerable");
-    EXPECT_EQ(a.verdict, b.verdict);
-    ASSERT_EQ(a.iterations.size(), b.iterations.size());
-    for (std::size_t i = 0; i < a.iterations.size(); ++i) {
-      EXPECT_EQ(a.iterations[i].s_size, b.iterations[i].s_size) << "iteration " << i;
-      EXPECT_EQ(a.iterations[i].removed, b.iterations[i].removed) << "iteration " << i;
-      EXPECT_EQ(a.iterations[i].status, b.iterations[i].status) << "iteration " << i;
-    }
-    EXPECT_EQ(a.persistent_hits, b.persistent_hits);
-    EXPECT_EQ(a.full_cex, b.full_cex);
-    EXPECT_TRUE(a.final_s == b.final_s);
-    // Legacy mode reports no incremental work avoidance.
-    EXPECT_EQ(b.stats.pruned_candidates, 0u);
-    EXPECT_EQ(b.stats.cache_hits, 0u);
-  }
 }
 
 } // namespace

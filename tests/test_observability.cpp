@@ -237,16 +237,22 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
 }
 
 TEST(MetricsAggregation, SingleSolverRunHasNoWorkerEntries) {
+  // threads = 1: the sweep runs on exactly one (inline) scheduler worker, so
+  // the registry holds main and w0 and nothing else, and total = main + w0.
   const soc::Soc soc = small_soc();
   UpecContext ctx(soc);
   Alg1Options opts;
   opts.extract_waveform = false;
   const Alg1Result r = run_alg1(ctx, opts);
   const util::MetricsSnapshot& m = r.stats.metrics;
-  EXPECT_TRUE(r.stats.per_worker.empty());
-  EXPECT_FALSE(m.has("sat.solver.w0.conflicts"));
-  EXPECT_EQ(m.get("sat.solver.total.conflicts"), m.get("sat.solver.main.conflicts"));
-  EXPECT_EQ(r.stats.total.conflicts, m.get("sat.solver.main.conflicts"));
+  ASSERT_EQ(r.stats.per_worker.size(), 1u);
+  EXPECT_TRUE(m.has("sat.solver.w0.conflicts"));
+  EXPECT_FALSE(m.has("sat.solver.w1.conflicts"));
+  EXPECT_GT(m.get("sat.solver.w0.conflicts"), 0u);
+  EXPECT_EQ(m.get("sat.solver.total.conflicts"),
+            m.get("sat.solver.main.conflicts") + m.get("sat.solver.w0.conflicts"));
+  EXPECT_EQ(r.stats.total.conflicts, m.get("sat.solver.total.conflicts"));
+  EXPECT_EQ(r.stats.per_worker[0].conflicts, m.get("sat.solver.w0.conflicts"));
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +340,58 @@ TEST(TraceEvents, StreamParsesBackStrictlyAndSpansBalance) {
   EXPECT_GT(names["solver.w0.conflicts"] + names["solver.w1.conflicts"] +
                 names["solver.main.conflicts"],
             0);
+}
+
+TEST(TraceEvents, EverySolveSpanCarriesItsStatus) {
+  // solve.main and solve.inproc share one status vocabulary, on every return
+  // path — including the main engine's verdict-cache hit, which never
+  // reaches the solver.
+  const std::string path = ::testing::TempDir() + "upec_trace_status.json";
+  {
+    soc::SocConfig cfg;
+    cfg.pub_ram_words = 8;
+    cfg.priv_ram_words = 4;
+    const soc::Soc soc = soc::build_pulpissimo(cfg);
+    VerifyOptions options;
+    options.trace_path = path;
+    UpecContext ctx(soc, options);
+
+    std::vector<encode::Lit> as;
+    ctx.miter.register_candidates(ctx.s_pers.to_vector(), 1);
+    ctx.miter.select_candidates(1, {}, as); // trivially UNSAT selection
+    ASSERT_EQ(ctx.engine.check_assumptions(as).status, ipc::CheckStatus::Holds);
+    ASSERT_EQ(ctx.engine.check_assumptions(as).status, ipc::CheckStatus::Holds);
+    ASSERT_EQ(ctx.engine.cache_hits(), 1u);
+
+    // Vulnerable with waveform: scheduler sweeps (solve.inproc) plus the
+    // main-solver epilogue solve (solve.main, sat).
+    const Alg1Result r = run_alg1(ctx);
+    ASSERT_EQ(r.verdict, Verdict::Vulnerable);
+    ASSERT_TRUE(r.waveform.has_value());
+  }
+
+  util::JsonValue v;
+  std::string error;
+  ASSERT_TRUE(util::parse_json(slurp(path), v, &error)) << error;
+  const util::JsonValue* events = v.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<std::string, std::map<std::string, int>> statuses; // span -> status -> count
+  for (const util::JsonValue& e : events->array) {
+    const std::string& name = e.find("name")->string;
+    if (name != "solve.main" && name != "solve.inproc") continue;
+    const util::JsonValue* args = e.find("args");
+    ASSERT_NE(args, nullptr) << name;
+    const util::JsonValue* status = args->find("status");
+    ASSERT_NE(status, nullptr) << name << " span without a status arg";
+    EXPECT_TRUE(status->string == "sat" || status->string == "unsat" ||
+                status->string == "unknown")
+        << name << ": " << status->string;
+    statuses[name][status->string]++;
+  }
+  EXPECT_EQ(statuses["solve.main"]["unsat"], 2); // the solve and its cache hit
+  EXPECT_GE(statuses["solve.main"]["sat"], 1);   // the waveform epilogue
+  EXPECT_GT(statuses["solve.inproc"]["sat"], 0);
+  EXPECT_GT(statuses["solve.inproc"]["unsat"], 0);
 }
 
 TEST(TraceEvents, SecondSessionIsInertWhileOneIsArmed) {
@@ -488,7 +546,7 @@ TEST(ProgressHook, FiresAtCadenceWithCumulativeCounters) {
   ASSERT_FALSE(events.empty());
   std::uint64_t last = 0;
   for (const ProgressEvent& ev : events) {
-    EXPECT_EQ(ev.source, "main"); // threads == 1: only the main solver solves
+    EXPECT_EQ(ev.source, "w0"); // threads == 1: the one inline worker runs every sweep
     EXPECT_GT(ev.conflicts, 0u);
     EXPECT_EQ(ev.conflicts % 256, 0u) << "cadence is a conflict-count multiple";
     EXPECT_GT(ev.conflicts, last) << "cumulative counter must increase";

@@ -10,7 +10,9 @@
 // fork/pipe/parse path runs without any system SAT solver installed.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sat/backend.h"
@@ -192,6 +195,45 @@ TEST(Subprocess, ReadHonorsDeadlineAgainstSilentChild) {
   EXPECT_FALSE(child.read_all(out, t0 + std::chrono::milliseconds(150), 1 << 20));
   EXPECT_LT(util::Subprocess::Clock::now() - t0, std::chrono::seconds(5));
   child.kill_and_reap();
+}
+
+TEST(Subprocess, KillAndReapTakesDownTheWholeProcessGroup) {
+  // A shell wrapper that backgrounds its real work: signalling only the shell
+  // would orphan `sleep`, which would then hold the pipes (and a test
+  // runner's output) open for 100 s. This process becomes a subreaper so the
+  // orphan is reparented here and can be reaped below, whatever init the
+  // host runs; the guard restores the default for later tests.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  struct SubreaperGuard {
+    ~SubreaperGuard() { ::prctl(PR_SET_CHILD_SUBREAPER, 0); }
+  } guard;
+
+  util::Subprocess child;
+  ASSERT_TRUE(child.spawn({"/bin/sh", "-c", "sleep 100 & echo $!; wait"}));
+  std::string out;
+  const auto read_deadline = util::Subprocess::Clock::now() + std::chrono::seconds(5);
+  while (out.find('\n') == std::string::npos && util::Subprocess::Clock::now() < read_deadline) {
+    child.read_all(out, util::Subprocess::Clock::now() + std::chrono::milliseconds(20), 64);
+  }
+  ASSERT_NE(out.find('\n'), std::string::npos) << "no grandchild pid printed: " << out;
+  const pid_t grandchild = static_cast<pid_t>(std::stol(out));
+  ASSERT_GT(grandchild, 0);
+
+  child.kill_and_reap();
+  int raw = 0;
+  pid_t reaped = 0;
+  const auto deadline = util::Subprocess::Clock::now() + std::chrono::seconds(5);
+  while ((reaped = ::waitpid(grandchild, &raw, WNOHANG)) == 0 &&
+         util::Subprocess::Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  if (reaped == 0) {  // survived: fail, but do not leak it past the test
+    ::kill(grandchild, SIGKILL);
+    ::waitpid(grandchild, &raw, 0);
+  }
+  EXPECT_EQ(reaped, grandchild) << "grandchild outlived kill_and_reap";
+  EXPECT_TRUE(WIFSIGNALED(raw));
+  expect_reaped(grandchild);
 }
 
 TEST(Subprocess, CancelFlagAbortsBlockedReadQuickly) {
