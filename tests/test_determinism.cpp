@@ -5,7 +5,8 @@
 // verdicts, iteration shapes, leaking-variable sets and frame counts cannot
 // depend on the thread count, worker partition, or CDCL model order. These
 // tests pin that contract on both headline workloads (vulnerable baseline,
-// secure countermeasure) for Alg. 1 and Alg. 2.
+// secure countermeasure) for Alg. 1 and Alg. 2. Waveforms are compared by
+// content (their rendered table), not only by presence.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,7 +64,8 @@ void expect_same_alg1(const Alg1Result& seq, const Alg1Result& par) {
   EXPECT_EQ(seq.persistent_hits, par.persistent_hits);
   EXPECT_EQ(seq.full_cex, par.full_cex);
   EXPECT_EQ(seq.final_s == par.final_s, true);
-  EXPECT_EQ(seq.waveform.has_value(), par.waveform.has_value());
+  ASSERT_EQ(seq.waveform.has_value(), par.waveform.has_value());
+  if (seq.waveform) EXPECT_EQ(seq.waveform->pretty(), par.waveform->pretty());
 }
 
 TEST(Determinism, VulnerableAlg1IdenticalAcrossThreadCounts) {
@@ -80,6 +82,32 @@ TEST(Determinism, VulnerableAlg1IdenticalAcrossThreadCounts) {
   VerifyOptions no_cache = with_threads({}, 4);
   no_cache.verdict_cache = false;
   expect_same_alg1(seq, verify_2cycle(soc, no_cache));
+}
+
+TEST(Determinism, VulnerableWaveformIdenticalAcrossConfigurations) {
+  // The counterexample waveform comes from one main-solver solve, which
+  // never sees worker state: it must not react to the thread count (odd
+  // partitions included), snapshot preprocessing, or portfolio racing.
+  const soc::Soc soc = small_soc();
+  const Alg1Result seq = verify_2cycle(soc, with_threads({}, 1));
+  ASSERT_EQ(seq.verdict, Verdict::Vulnerable);
+  ASSERT_TRUE(seq.waveform.has_value());
+  {
+    SCOPED_TRACE("threads=3");
+    expect_same_alg1(seq, verify_2cycle(soc, with_threads({}, 3)));
+  }
+  {
+    VerifyOptions no_preprocess = with_threads({}, 4);
+    no_preprocess.preprocess = false;
+    SCOPED_TRACE("threads=4 preprocess=0");
+    expect_same_alg1(seq, verify_2cycle(soc, no_preprocess));
+  }
+  {
+    VerifyOptions racing = with_threads({}, 2);
+    racing.portfolio = 2;
+    SCOPED_TRACE("threads=2 portfolio=2");
+    expect_same_alg1(seq, verify_2cycle(soc, racing));
+  }
 }
 
 TEST(Determinism, SecureAlg1IdenticalAcrossThreadCounts) {
@@ -265,7 +293,9 @@ TEST(Determinism, VulnerableAlg2IdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(seq.persistent_hits, par.persistent_hits);
   EXPECT_EQ(seq.full_cex, par.full_cex);
-  EXPECT_EQ(seq.waveform.has_value(), par.waveform.has_value());
+  ASSERT_TRUE(seq.waveform.has_value());
+  ASSERT_TRUE(par.waveform.has_value());
+  EXPECT_EQ(seq.waveform->pretty(), par.waveform->pretty());
 }
 
 VerifyOptions with_trace(VerifyOptions options, unsigned threads, const std::string& path) {
