@@ -2,12 +2,75 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
+#include <optional>
 
 #include "sat/portfolio.h"
 #include "util/trace.h"
 
 namespace upec::ipc {
+
+namespace {
+
+// Per-sweep state behind a SweepWatch: the semantic result of each watched
+// candidate, recorded by the workers as they settle it, and the number of
+// tasks still running. The calling thread waits on it during the batch.
+class WatchBoard {
+public:
+  WatchBoard(std::size_t watched, std::size_t tasks)
+      : verdict_(watched, kOpen), running_(tasks) {}
+
+  // Worker threads: watched candidate `i` differs (or is refuted).
+  void record(std::size_t i, bool differs) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      verdict_[i] = differs ? kDiffers : kRefuted;
+    }
+    cv_.notify_all();
+  }
+
+  // Worker threads: one task of the batch finished (normally or not).
+  void task_done() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --running_;
+    }
+    cv_.notify_all();
+  }
+
+  // Calling thread: blocks until the lowest differing watched candidate is
+  // settled (every lower one refuted) or the batch ended, and returns its
+  // index; nullopt if no watched candidate differs.
+  std::optional<std::size_t> await_lowest_differing() {
+    std::unique_lock<std::mutex> lock(mu_);
+    std::optional<std::size_t> lowest;
+    cv_.wait(lock, [&] {
+      for (std::size_t i = 0; i < verdict_.size(); ++i) {
+        if (verdict_[i] == kRefuted) continue;
+        if (verdict_[i] == kDiffers) lowest = i;
+        break;
+      }
+      return lowest.has_value() || running_ == 0;
+    });
+    // The batch ended: a watched candidate left unresolved (its chunk went
+    // Unknown) is skipped.
+    for (std::size_t i = 0; !lowest && i < verdict_.size(); ++i) {
+      if (verdict_[i] == kDiffers) lowest = i;
+    }
+    return lowest;
+  }
+
+private:
+  enum : char { kOpen, kDiffers, kRefuted };
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<char> verdict_;  // per watched candidate
+  std::size_t running_;        // tasks not yet finished
+};
+
+} // namespace
 
 CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
     : store_(store),
@@ -108,7 +171,7 @@ std::vector<sat::BackendHealth> CheckScheduler::worker_health() const {
 SweepResult CheckScheduler::sweep(encode::Miter& miter,
                                   const std::vector<encode::Lit>& assumptions,
                                   const std::vector<rtlir::StateVarId>& candidates,
-                                  unsigned frame) {
+                                  unsigned frame, const SweepWatch* watch) {
   util::trace::Span span("scheduler.sweep", "ipc");
   span.arg("candidates", static_cast<std::uint64_t>(candidates.size()));
   span.arg("workers", std::uint64_t{workers()});
@@ -154,12 +217,26 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
     rtlir::StateVarId sv;
     encode::Lit activation;
     encode::Lit diff;
+    std::optional<std::size_t> watched;  // index into watch->candidates
   };
   std::vector<std::vector<Candidate>> chunk(W);
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const rtlir::StateVarId sv = candidates[i];
-    chunk[i % W].push_back(
-        Candidate{sv, miter.activation_literal(sv, frame), miter.diff_literal(sv, frame)});
+    std::optional<std::size_t> watched;
+    if (watch != nullptr) {
+      const auto it = std::lower_bound(watch->candidates.begin(), watch->candidates.end(), sv);
+      if (it != watch->candidates.end() && *it == sv) {
+        watched = static_cast<std::size_t>(it - watch->candidates.begin());
+      }
+    }
+    chunk[i % W].push_back(Candidate{sv, miter.activation_literal(sv, frame),
+                                     miter.diff_literal(sv, frame), watched});
+  }
+  std::optional<WatchBoard> board;
+  if (watch != nullptr) {
+    board.emplace(watch->candidates.size(),
+                  std::count_if(chunk.begin(), chunk.end(),
+                                [](const std::vector<Candidate>& c) { return !c.empty(); }));
   }
 
   // One task per worker, one barrier: each worker scans its chunk one
@@ -180,7 +257,14 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
   for (unsigned w = 0; w < W; ++w) {
     if (chunk[w].empty()) continue;
     tasks.push_back([this, w, &view, &assumptions, &chunk, &differing, &groups, &solves,
-                     &chunk_unknown, &chunk_timeout] {
+                     &chunk_unknown, &chunk_timeout, &board] {
+      // Counts the task as finished on every exit path, throws included.
+      struct Finished {
+        std::optional<WatchBoard>& board;
+        ~Finished() {
+          if (board) board->task_done();
+        }
+      } finished{board};
       sat::SolverBackend& backend = *backends_[w];
       backend.sync(view);
       const std::vector<Candidate>& mine = chunk[w];
@@ -199,6 +283,7 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
         if (status == sat::SolveStatus::Unsat) {
           resolved[i] = 1;
           groups[w].push_back(SweepResult::UnsatGroup{{mine[i].sv}, backend.unsat_core()});
+          if (board && mine[i].watched) board->record(*mine[i].watched, false);
           continue;
         }
         bool harvested = false;
@@ -206,6 +291,7 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
           if (resolved[j] || !backend.model_value(mine[j].diff)) continue;
           resolved[j] = 1;
           differing[w].push_back(mine[j].sv);
+          if (board && mine[j].watched) board->record(*mine[j].watched, true);
           harvested = true;
         }
         if (!harvested) {
@@ -217,7 +303,17 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
       }
     });
   }
-  pool_.run_all(std::move(tasks));
+  // The calling thread serves the watch while the workers sweep; with no
+  // pool threads it runs after the inline batch.
+  std::function<void()> on_caller;
+  if (board) {
+    on_caller = [&board, watch] {
+      if (const std::optional<std::size_t> i = board->await_lowest_differing()) {
+        watch->settled(watch->candidates[*i]);
+      }
+    };
+  }
+  pool_.run_all(std::move(tasks), on_caller);
 
   // Deterministic merge, ascending worker index, after the barrier.
   bool unknown = false;

@@ -36,7 +36,11 @@
 // Concurrency protocol: the encoder (diff/activation literals) runs only on
 // the calling thread between batches; workers only read the store (hydration)
 // and their own solver. Worker models and statistics are read back on the
-// calling thread strictly after the batch barrier.
+// calling thread strictly after the batch barrier. During a batch the calling
+// thread may run a SweepWatch callback, which may solve on the main solver
+// (the upec layer's waveform witness): the main solver belongs to the calling
+// thread alone, and nothing encodes during the batch, so the store does not
+// grow while workers hydrate from it.
 #pragma once
 
 #include <chrono>
@@ -95,6 +99,20 @@ struct SweepResult {
   // Cumulative snapshot-preprocessing counters at sweep end (all zero when
   // preprocessing is off; see SchedulerOptions::preprocess).
   sat::SimplifyStats simplify;
+};
+
+// An optional observer of one sweep: a sorted subset of the swept candidates
+// and a callback the calling thread runs during the batch, as soon as the
+// lowest watched candidate that differs is settled — every lower watched
+// candidate refuted and that one shown to differ — or, failing that, when the
+// batch ends. The callback gets that candidate and runs at most once: never
+// if no watched candidate differs. At batch end an unresolved (Unknown)
+// watched candidate is skipped. The candidate it gets is therefore
+// min(watched ∩ differing), a semantic answer that is the same at every
+// thread count.
+struct SweepWatch {
+  std::vector<rtlir::StateVarId> candidates;  // sorted ascending
+  std::function<void(rtlir::StateVarId)> settled;
 };
 
 struct SchedulerOptions {
@@ -164,9 +182,12 @@ public:
 
   // Finds every candidate whose diff literal at `frame` is satisfiable under
   // `assumptions`. Encodes missing diff/activation literals through
-  // `miter.cnf()` on the calling thread.
+  // `miter.cnf()` on the calling thread. With a `watch`, the calling thread
+  // runs watch->settled during the batch instead of idling at the barrier
+  // (see SweepWatch); the sweep returns after both finished.
   SweepResult sweep(encode::Miter& miter, const std::vector<encode::Lit>& assumptions,
-                    const std::vector<rtlir::StateVarId>& candidates, unsigned frame);
+                    const std::vector<rtlir::StateVarId>& candidates, unsigned frame,
+                    const SweepWatch* watch = nullptr);
 
   // Cumulative per-worker statistics (for report breakdowns).
   std::vector<sat::SolverStats> worker_stats() const;

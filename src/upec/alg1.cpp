@@ -105,7 +105,8 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     for (rtlir::StateVarId sv : S.to_vector()) {
       assumptions.push_back(ctx.miter.eq_assumption(sv));
     }
-    SweepOutcome out = sweep_frame(ctx, assumptions, S, 1, options.saturate_cex);
+    SweepOutcome out = sweep_frame(ctx, assumptions, S, 1, options.saturate_cex,
+                                   options.extract_waveform);
 
     log.seconds = out.seconds;
     log.conflicts = out.conflicts;

@@ -34,13 +34,16 @@ struct IterationLog {
   std::size_t s_size = 0;       // |S| entering the iteration
   std::size_t cex_size = 0;     // |S_cex|
   std::size_t pers_hits = 0;    // |S_cex ∩ S_pers|
+  // Wall clock and conflicts of the iteration's solves. A waveform witness
+  // overlapped with the sweep adds its conflicts only: its time is already
+  // inside the sweep's wall clock.
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
   ipc::CheckStatus status = ipc::CheckStatus::Unknown;
   std::vector<rtlir::StateVarId> removed;
-  // Incremental-sweep work avoidance this iteration: candidates skipped
-  // because a recorded UNSAT core still refutes them, and verdict-cache
-  // traffic of the iteration's solves.
+  // Work avoidance this iteration: candidates skipped because a recorded
+  // UNSAT core still refutes them, and verdict-cache traffic of the
+  // iteration's solves.
   std::size_t pruned = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -62,7 +65,7 @@ struct SolverUsage {
   // Worker w's portfolio-member breakdown (parallel to per_worker; empty
   // inner vector = single-solver worker). Members sum to per_worker[w].
   std::vector<std::vector<sat::SolverStats>> per_worker_members;
-  // Incremental-sweep counters: shared verdict-cache traffic (main solver +
+  // Work-avoidance counters: shared verdict-cache traffic (main solver +
   // workers; zero with the cache off), candidates pruned via recorded UNSAT
   // cores, and the learnt clauses still live in the solvers at collection
   // time — the databases the sweeps carry across iterations.

@@ -35,7 +35,8 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
     for (rtlir::StateVarId sv : s0_members) {
       assumptions.push_back(ctx.miter.eq_assumption(sv));
     }
-    SweepOutcome out = sweep_frame(ctx, assumptions, S[k], k, options.saturate_cex);
+    SweepOutcome out = sweep_frame(ctx, assumptions, S[k], k, options.saturate_cex,
+                                   options.extract_waveform);
 
     step.iteration.seconds = out.seconds;
     step.iteration.conflicts = out.conflicts;

@@ -88,7 +88,7 @@ struct VerifyOptions {
   // other rewriting is consequence-only or model-reconstructible. Verdicts,
   // frontiers and waveforms are bit-identical with preprocessing on or off
   // (pinned by test_determinism). The main solver (single-model ablation,
-  // waveform epilogue) is never preprocessed — only worker hydration changes.
+  // waveform witness) is never preprocessed — only worker hydration changes.
   bool preprocess = true;
   // External DIMACS solver command raced/consulted per worker under the
   // supervision policy below (sat/supervise.h): per-solve deadline, restart

@@ -46,10 +46,21 @@ SweepOutcome sweep_single_model(UpecContext& ctx, const std::vector<encode::Lit>
   return out;
 }
 
+// The waveform witness query on the main solver: a model in which `target`
+// differs at `frame` under `assumptions`. The target is a registered
+// candidate, so this is pure assumption selection — no new encoding, which
+// is what lets it run while the workers hydrate from the store.
+ipc::CheckResult solve_witness(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
+                               unsigned frame, rtlir::StateVarId target) {
+  std::vector<encode::Lit> as = assumptions;
+  ctx.miter.select_candidates(frame, {target}, as);
+  return ctx.engine.check_assumptions(as);
+}
+
 } // namespace
 
 SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
-                         const StateSet& S, unsigned frame, bool saturate) {
+                         const StateSet& S, unsigned frame, bool saturate, bool witness) {
   util::trace::Span span("upec.sweep_frame", "upec");
   span.arg("frame", std::uint64_t{frame});
   std::vector<rtlir::StateVarId> members = S.to_vector();
@@ -79,7 +90,24 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
       // a single solver call.
       out.status = ipc::CheckStatus::Holds;
     } else {
-      ipc::SweepResult r = ctx.scheduler->sweep(ctx.miter, assumptions, eligible, frame);
+      // Any persistent hit ends the run vulnerable, so the lowest differing
+      // member of eligible ∩ S_pers is the hit the waveform will show.
+      ipc::SweepWatch watch;
+      if (witness) {
+        for (rtlir::StateVarId c : eligible) {
+          if (ctx.in_s_pers(c)) watch.candidates.push_back(c);
+        }
+        watch.settled = [&](rtlir::StateVarId target) {
+          util::trace::Span wspan("upec.waveform", "upec");
+          wspan.arg("frame", std::uint64_t{frame});
+          wspan.arg("target", std::uint64_t{target});
+          wspan.arg("overlapped", std::uint64_t{1});
+          out.witness =
+              SweepOutcome::Witness{target, solve_witness(ctx, assumptions, frame, target)};
+        };
+      }
+      ipc::SweepResult r = ctx.scheduler->sweep(ctx.miter, assumptions, eligible, frame,
+                                                watch.candidates.empty() ? nullptr : &watch);
       out.status = r.status;
       out.s_cex = std::move(r.differing);
       out.seconds = r.seconds;
@@ -119,19 +147,21 @@ std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
                                                    const std::vector<encode::Lit>& assumptions,
                                                    const SweepOutcome& out, unsigned frame,
                                                    IterationLog& log, double& total_seconds) {
+  const rtlir::StateVarId target = out.pers_hits.front();
+  const bool overlapped = out.witness && out.witness->target == target;
   util::trace::Span span("upec.waveform", "upec");
   span.arg("frame", std::uint64_t{frame});
-  span.arg("pers_hits", static_cast<std::uint64_t>(out.pers_hits.size()));
-  // The persistent hits are registered candidates (pers_hits ⊆ s_cex ⊆ the
-  // swept set), so restricting the violation to them is pure assumption
-  // selection — no new encoding, and the solve lands on the main solver
-  // whose model the waveform extractor reads.
-  std::vector<encode::Lit> as = assumptions;
-  ctx.miter.select_candidates(frame, out.pers_hits, as);
-  const ipc::CheckResult check = ctx.engine.check_assumptions(as);
-  log.seconds += check.seconds;
+  span.arg("target", std::uint64_t{target});
+  span.arg("overlapped", std::uint64_t{overlapped ? 1u : 0u});
+  ipc::CheckResult check;
+  if (overlapped) {
+    check = out.witness->check;
+  } else {
+    check = solve_witness(ctx, assumptions, frame, target);
+    log.seconds += check.seconds;
+    total_seconds += check.seconds;
+  }
   log.conflicts += check.conflicts;
-  total_seconds += check.seconds;
   if (check.status != ipc::CheckStatus::Violated) return std::nullopt;
   return ipc::extract_waveform(ctx.miter, frame, ctx.waveform_probes(), out.s_cex);
 }

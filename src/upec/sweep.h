@@ -6,8 +6,11 @@
 // (inline on the calling thread at threads == 1, fanned across the worker
 // pool otherwise); the result is semantic (see ipc/scheduler.h), which is
 // what makes every thread count bit-identical. Only the single-model ablation
-// (saturate == false) and the vulnerable-verdict waveform epilogue solve on
-// the context's main solver.
+// (saturate == false) and the vulnerable-verdict waveform witness solve on
+// the context's main solver. The witness asks for a model in which the
+// lowest-id persistent hit differs; when a waveform is wanted, the saturating
+// sweep solves it on the calling thread while the workers are still sweeping
+// (ipc::SweepWatch), so the run does not end in one cold serial solve.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +35,10 @@ struct SweepOutcome {
   std::vector<rtlir::StateVarId> pers_hits;  // sorted; s_cex ∩ S_pers
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
-  // Incremental-sweep bookkeeping: candidates skipped up front because a
-  // recorded UNSAT core still proves them unable to differ, verdict-cache
-  // traffic during this sweep, and the final chunk refutations (already mined
-  // into the context's pruner by sweep_frame; exposed for tests).
+  // Work avoidance: candidates skipped up front because a recorded UNSAT
+  // core still proves them unable to differ, verdict-cache traffic during
+  // this sweep, and the final per-candidate refutations (already mined into
+  // the context's pruner by sweep_frame; exposed for tests).
   std::size_t pruned = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -43,16 +46,33 @@ struct SweepOutcome {
   // An Unknown status was (at least in part) a wall-clock deadline hit, as
   // opposed to conflict-budget exhaustion (see VerifyOptions::deadline_ms).
   bool timed_out = false;
+  // The waveform witness solved during the sweep: its target (the lowest-id
+  // persistent hit) and the main solver's answer, whose model is still
+  // installed for extract_pers_waveform. Its time is part of `seconds`.
+  struct Witness {
+    rtlir::StateVarId target = 0;
+    ipc::CheckResult check;
+  };
+  std::optional<Witness> witness;
 };
 
+// Sweeps `S` at `frame`. With `witness` (the caller will extract a
+// waveform), a saturating sweep watches eligible ∩ S_pers and solves the
+// witness query for the lowest differing one on the calling thread, during
+// the sweep.
 SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
-                         const StateSet& S, unsigned frame, bool saturate);
+                         const StateSet& S, unsigned frame, bool saturate, bool witness);
 
-// Vulnerable-verdict epilogue: re-solves on the context's main solver with a
-// violation restricted to the persistent hits (each is individually
-// satisfiable, so the solve succeeds barring a budget interrupt) and extracts
-// the counterexample waveform from that model. Accounts the solve into `log`
-// and `total_seconds`.
+// Vulnerable-verdict epilogue: the counterexample waveform of the lowest-id
+// persistent hit. The witness query asks the context's main solver for a
+// model in which that hit differs (it is individually satisfiable, so the
+// solve succeeds barring a budget interrupt); the waveform is read from that
+// model. The answer `out.witness` holds is reused when its target is
+// out.pers_hits.front(); otherwise (single-model ablation, a sweep with
+// Unknown chunks) the same query is solved now. Accounts the witness's
+// conflicts into `log`, and its seconds into `log` and `total_seconds` only
+// when solved here: an overlapped solve is already inside the sweep's wall
+// clock.
 std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
                                                    const std::vector<encode::Lit>& assumptions,
                                                    const SweepOutcome& out, unsigned frame,

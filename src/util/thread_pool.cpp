@@ -55,10 +55,21 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (workers_.empty()) {
-    // Degenerate pool: run the batch inline, same all-or-nothing semantics.
+void ThreadPool::run_all(std::vector<std::function<void()>> tasks,
+                         const std::function<void()>& on_caller) {
+  std::exception_ptr caller_error;
+  auto run_on_caller = [&] {
+    if (!on_caller) return;
+    try {
+      on_caller();
+    } catch (...) {
+      caller_error = std::current_exception();
+    }
+  };
+
+  if (workers_.empty() || tasks.empty()) {
+    // Degenerate pool (or nothing to dispatch): run the batch inline, then
+    // the caller's own work, same all-or-nothing semantics.
     std::exception_ptr first;
     for (auto& task : tasks) {
       try {
@@ -67,6 +78,8 @@ void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
         if (!first) first = std::current_exception();
       }
     }
+    run_on_caller();
+    if (!first) first = caller_error;
     if (first) std::rethrow_exception(first);
     return;
   }
@@ -79,6 +92,7 @@ void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
     pending_ = tasks_.size();
   }
   work_cv_.notify_all();
+  run_on_caller();
 
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
@@ -87,6 +101,7 @@ void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
   for (const std::exception_ptr& e : errors_) {
     if (e) std::rethrow_exception(e);
   }
+  if (caller_error) std::rethrow_exception(caller_error);
 }
 
 } // namespace upec::util

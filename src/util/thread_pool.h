@@ -6,7 +6,8 @@
 // that barrier — it returns only after every task of the batch finished, and
 // its return edge establishes a happens-before between the workers' writes
 // (solver models, statistics) and the caller's subsequent reads, so result
-// merging needs no further synchronization.
+// merging needs no further synchronization. The caller can hand run_all its
+// own piece of work to do while it would otherwise wait at the barrier.
 #pragma once
 
 #include <condition_variable>
@@ -31,16 +32,23 @@ public:
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
   // Runs all tasks and blocks until every one finished. Tasks may run on any
-  // worker thread in any order.
+  // worker thread in any order. `on_caller` (optional) runs on the calling
+  // thread while the batch is in flight — the caller would otherwise idle at
+  // the barrier — and run_all returns only after both it and every task
+  // finished. With no worker threads the tasks run inline first and
+  // `on_caller` runs after them.
   //
   // Exception contract: a throwing task can never std::terminate the pool —
   // workers catch everything (including non-std::exception payloads), the
   // remaining tasks of the batch still run, and the first exception in task
   // order is rethrown here, on the caller's thread, after the batch
-  // completed. The pool stays fully usable for subsequent batches. Teardown
-  // is drain-first: the destructor lets an in-flight batch finish rather
-  // than stranding a caller blocked on the barrier.
-  void run_all(std::vector<std::function<void()>> tasks);
+  // completed. An exception from `on_caller` is held the same way and
+  // rethrown after the barrier if no task threw. The pool stays fully usable
+  // for subsequent batches. Teardown is drain-first: the destructor lets an
+  // in-flight batch finish rather than stranding a caller blocked on the
+  // barrier.
+  void run_all(std::vector<std::function<void()>> tasks,
+               const std::function<void()>& on_caller = {});
 
 private:
   void worker_loop();

@@ -364,7 +364,7 @@ TEST(TraceEvents, EverySolveSpanCarriesItsStatus) {
     ASSERT_EQ(ctx.engine.cache_hits(), 1u);
 
     // Vulnerable with waveform: scheduler sweeps (solve.inproc) plus the
-    // main-solver epilogue solve (solve.main, sat).
+    // main-solver waveform witness (solve.main, sat).
     const Alg1Result r = run_alg1(ctx);
     ASSERT_EQ(r.verdict, Verdict::Vulnerable);
     ASSERT_TRUE(r.waveform.has_value());
@@ -389,9 +389,68 @@ TEST(TraceEvents, EverySolveSpanCarriesItsStatus) {
     statuses[name][status->string]++;
   }
   EXPECT_EQ(statuses["solve.main"]["unsat"], 2); // the solve and its cache hit
-  EXPECT_GE(statuses["solve.main"]["sat"], 1);   // the waveform epilogue
+  EXPECT_GE(statuses["solve.main"]["sat"], 1);   // the waveform witness
   EXPECT_GT(statuses["solve.inproc"]["sat"], 0);
   EXPECT_GT(statuses["solve.inproc"]["unsat"], 0);
+}
+
+TEST(TraceEvents, WaveformWitnessSolvesInsideTheSweep) {
+  // The waveform witness runs on the calling thread while the workers sweep
+  // (inline after them at threads = 1): its sat solve.main span lies inside
+  // scheduler.sweep on the same thread, under an overlapped upec.waveform.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 8;
+  cfg.priv_ram_words = 4;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string path =
+        ::testing::TempDir() + "upec_trace_witness_" + std::to_string(threads) + ".json";
+    {
+      VerifyOptions options;
+      options.threads = threads;
+      options.trace_path = path;
+      UpecContext ctx(soc, options);
+      const Alg1Result r = run_alg1(ctx);
+      ASSERT_EQ(r.verdict, Verdict::Vulnerable);
+      ASSERT_TRUE(r.waveform.has_value());
+    }
+
+    util::JsonValue v;
+    std::string error;
+    ASSERT_TRUE(util::parse_json(slurp(path), v, &error)) << error;
+    struct Interval {
+      double begin, end;
+      std::uint64_t tid;
+      const util::JsonValue* args;
+    };
+    std::map<std::string, std::vector<Interval>> spans;
+    for (const util::JsonValue& e : v.find("traceEvents")->array) {
+      if (e.find("ph")->string != "X") continue;
+      const double ts = e.number_or("ts", 0);
+      spans[e.find("name")->string].push_back(
+          {ts, ts + e.number_or("dur", 0), static_cast<std::uint64_t>(e.number_or("tid", 0)),
+           e.find("args")});
+    }
+    auto enclosing = [&spans](const Interval& inner, const std::string& name) {
+      for (const Interval& outer : spans[name]) {
+        if (outer.tid == inner.tid && outer.begin <= inner.begin && inner.end <= outer.end) {
+          return &outer;
+        }
+      }
+      return static_cast<const Interval*>(nullptr);
+    };
+    int witnesses = 0;
+    for (const Interval& solve : spans["solve.main"]) {
+      if (solve.args == nullptr || solve.args->find("status")->string != "sat") continue;
+      ++witnesses;
+      EXPECT_NE(enclosing(solve, "scheduler.sweep"), nullptr);
+      const Interval* waveform = enclosing(solve, "upec.waveform");
+      ASSERT_NE(waveform, nullptr);
+      EXPECT_EQ(waveform->args->number_or("overlapped", 0), 1.0);
+    }
+    EXPECT_EQ(witnesses, 1);
+  }
 }
 
 TEST(TraceEvents, SecondSessionIsInertWhileOneIsArmed) {

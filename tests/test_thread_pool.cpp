@@ -1,13 +1,17 @@
 // util::ThreadPool — the batch-barrier substrate under the check scheduler.
 // The contract the scheduler depends on: run_all returns only after every
 // task ran (happens-before for result merging), batches can be issued
-// back-to-back, and task exceptions surface after the batch completed instead
-// of abandoning it.
+// back-to-back, task exceptions surface after the batch completed instead
+// of abandoning it, and the caller's own work (`on_caller`) overlaps the
+// batch under the same barrier.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -127,6 +131,100 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
 TEST(ThreadPool, EmptyBatchIsANoOp) {
   ThreadPool pool(2);
   pool.run_all({});
+}
+
+// Spins until `flag` is set or a generous timeout passes; returns the flag.
+bool await(const std::atomic<bool>& flag) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!flag.load() && std::chrono::steady_clock::now() < until) std::this_thread::yield();
+  return flag.load();
+}
+
+TEST(ThreadPool, OnCallerRunsOnCallingThreadWhileTasksRun) {
+  // The task holds the batch open until on_caller releases it, so on_caller
+  // can only see it running (and release it) if it overlaps the batch.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> started{false}, released{false}, finished{false};
+  bool task_saw_release = false;
+  bool caller_saw_task_running = false;
+  std::thread::id on_caller_thread;
+  pool.run_all(
+      {[&] {
+        started = true;
+        task_saw_release = await(released);
+        finished = true;
+      }},
+      [&] {
+        on_caller_thread = std::this_thread::get_id();
+        caller_saw_task_running = await(started) && !finished.load();
+        released = true;
+      });
+  EXPECT_EQ(on_caller_thread, caller);
+  EXPECT_TRUE(caller_saw_task_running);
+  EXPECT_TRUE(task_saw_release);
+  EXPECT_TRUE(finished.load());  // the barrier still covers the tasks
+}
+
+TEST(ThreadPool, ZeroWorkersRunTasksInlineBeforeOnCaller) {
+  ThreadPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  auto step = [&](int i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  };
+  pool.run_all({[&] { step(1); }, [&] { step(2); }}, [&] { step(3); });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  for (const std::thread::id& t : threads) EXPECT_EQ(t, caller);
+  // No tasks at all: on_caller still runs.
+  pool.run_all({}, [&] { step(4); });
+  EXPECT_EQ(order.back(), 4);
+}
+
+TEST(ThreadPool, OnCallerExceptionSurfacesAfterBarrier) {
+  for (unsigned threads : {0u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    std::atomic<int> finished{0};
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 6; ++i) {
+      tasks.push_back([&finished] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished.fetch_add(1);
+      });
+    }
+    EXPECT_THROW(pool.run_all(std::move(tasks), [] { throw std::runtime_error("caller"); }),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), 6);  // thrown only after every task finished
+
+    // The pool stays usable for the next batch.
+    std::atomic<int> ok{0};
+    pool.run_all({[&ok] { ok.fetch_add(1); }, [&ok] { ok.fetch_add(1); }},
+                 [&ok] { ok.fetch_add(10); });
+    EXPECT_EQ(ok.load(), 12);
+  }
+}
+
+TEST(ThreadPool, TaskExceptionStillSurfacesWithOnCaller) {
+  // A task's exception wins over on_caller's and surfaces after the barrier;
+  // on_caller still ran to completion.
+  for (unsigned threads : {0u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    std::atomic<bool> caller_ran{false};
+    EXPECT_THROW(pool.run_all({[] { throw std::logic_error("task"); }},
+                              [&caller_ran] {
+                                caller_ran = true;
+                                throw std::runtime_error("caller");
+                              }),
+                 std::logic_error);
+    EXPECT_TRUE(caller_ran.load());
+    std::atomic<int> ok{0};
+    pool.run_all({[&ok] { ok.fetch_add(1); }});
+    EXPECT_EQ(ok.load(), 1);
+  }
 }
 
 } // namespace

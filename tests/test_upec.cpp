@@ -37,6 +37,20 @@ VerifyOptions hwpe_scenario_options(const soc::Soc& soc) {
   return options;
 }
 
+// The waveform shows the lowest-id persistent hit: its row diverges at the
+// frame the hit was found at.
+void expect_front_hit_diverges(const UpecContext& ctx, const ipc::Waveform& waveform,
+                               rtlir::StateVarId hit, unsigned frame) {
+  const std::string name = ctx.svt.name(hit);
+  const ipc::SignalTrace* row = nullptr;
+  for (const ipc::SignalTrace& sig : waveform.signals) {
+    if (sig.name == name) row = &sig;
+  }
+  ASSERT_NE(row, nullptr) << "no waveform row for " << name;
+  ASSERT_EQ(row->inst_a.size(), frame + 1u);
+  EXPECT_NE(row->inst_a[frame], row->inst_b[frame]) << name << "\n" << waveform.pretty();
+}
+
 TEST(UpecSsc, BaselineSocIsVulnerable) {
   const soc::Soc soc = small_soc();
   UpecContext ctx(soc);
@@ -47,6 +61,8 @@ TEST(UpecSsc, BaselineSocIsVulnerable) {
   for (rtlir::StateVarId sv : result.persistent_hits) {
     EXPECT_TRUE(ctx.pers.in_s_pers(sv)) << ctx.svt.name(sv);
   }
+  ASSERT_TRUE(result.waveform.has_value());
+  expect_front_hit_diverges(ctx, *result.waveform, result.persistent_hits.front(), 1);
 }
 
 TEST(UpecSsc, VulnerabilityNamesHwpeOrMemoryState) {
@@ -79,6 +95,9 @@ TEST(UpecSsc, UnrolledDetectsAtK2WithExplicitTrace) {
   bool diverges = false;
   for (const auto& sig : result.waveform->signals) diverges |= sig.diverges();
   EXPECT_TRUE(diverges);
+  ASSERT_FALSE(result.persistent_hits.empty());
+  expect_front_hit_diverges(ctx, *result.waveform, result.persistent_hits.front(),
+                            result.final_k);
 }
 
 TEST(UpecSsc, CountermeasureProvesSecure) {
