@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "upec/report.h"
 
 namespace {
@@ -45,24 +46,6 @@ std::uint64_t worker_field(const upec::Alg1Result& r,
   return total;
 }
 
-// Compact unified-metrics snapshot for the row (README "Observability"):
-// the aggregate counters only — per-worker/member breakdowns stay in the
-// full JSON report, not the committed bench artifact.
-std::string row_metrics(const upec::Alg1Result& r) {
-  return r.stats.metrics
-      .filtered({"sat.channel.", "sat.simplify.", "sat.solver.total.", "upec."})
-      .to_json();
-}
-
-bool identical_results(const upec::Alg1Result& a, const upec::Alg1Result& b) {
-  bool same = a.verdict == b.verdict && a.iterations.size() == b.iterations.size() &&
-              a.persistent_hits == b.persistent_hits && a.full_cex == b.full_cex;
-  for (std::size_t i = 0; same && i < a.iterations.size(); ++i) {
-    same = a.iterations[i].removed == b.iterations[i].removed;
-  }
-  return same;
-}
-
 struct Row {
   std::uint32_t pub_words;
   const char* scenario;
@@ -78,6 +61,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace upec;
+  using bench::identical_results;
+  using bench::row_metrics;
 
   bool quick = false;
   std::string out_path = "BENCH_clause_sharing.json";

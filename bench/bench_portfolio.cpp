@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "sat/pipe_backend.h"
 #include "upec/report.h"
 
@@ -36,22 +37,6 @@ upec::VerifyOptions configure(upec::VerifyOptions options, unsigned members, boo
     options.supervise.quarantine_after = 1;
   }
   return options;
-}
-
-// Compact unified-metrics snapshot for the row (README "Observability").
-std::string row_metrics(const upec::Alg1Result& r) {
-  return r.stats.metrics
-      .filtered({"sat.channel.", "sat.simplify.", "sat.solver.total.", "upec."})
-      .to_json();
-}
-
-bool identical_results(const upec::Alg1Result& a, const upec::Alg1Result& b) {
-  bool same = a.verdict == b.verdict && a.iterations.size() == b.iterations.size() &&
-              a.persistent_hits == b.persistent_hits && a.full_cex == b.full_cex;
-  for (std::size_t i = 0; same && i < a.iterations.size(); ++i) {
-    same = a.iterations[i].removed == b.iterations[i].removed;
-  }
-  return same;
 }
 
 std::uint64_t total_conflicts(const upec::Alg1Result& r) { return r.stats.total.conflicts; }
@@ -72,6 +57,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace upec;
+  using bench::identical_results;
+  using bench::row_metrics;
 
   // This binary doubles as the external DIMACS solver for the hostile rows.
   const int solver_rc = sat::self_solver_main(argc, argv);

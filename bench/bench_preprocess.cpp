@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "upec/report.h"
 
 namespace {
@@ -41,23 +42,6 @@ upec::VerifyOptions configure(upec::VerifyOptions options, unsigned threads, boo
 
 std::uint64_t total_work(const upec::Alg1Result& r) {
   return r.stats.total.conflicts + r.stats.total.propagations;
-}
-
-// Compact unified-metrics snapshot for the row (README "Observability").
-std::string row_metrics(const upec::Alg1Result& r) {
-  return r.stats.metrics
-      .filtered({"sat.channel.", "sat.simplify.", "sat.solver.total.", "upec."})
-      .to_json();
-}
-
-bool identical_results(const upec::Alg1Result& a, const upec::Alg1Result& b) {
-  bool same = a.verdict == b.verdict && a.iterations.size() == b.iterations.size() &&
-              a.persistent_hits == b.persistent_hits && a.full_cex == b.full_cex &&
-              a.final_s == b.final_s;
-  for (std::size_t i = 0; same && i < a.iterations.size(); ++i) {
-    same = a.iterations[i].removed == b.iterations[i].removed;
-  }
-  return same;
 }
 
 struct Row {
@@ -82,6 +66,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace upec;
+  using bench::identical_results;
+  using bench::row_metrics;
 
   bool quick = false;
   std::string out_path = "BENCH_preprocess.json";

@@ -2,14 +2,14 @@
 // thread and at four.
 //
 // Every saturating sweep runs through the CheckScheduler: persistent
-// assumption-activated candidates (the store never grows mid-sweep),
-// UNSAT-core frontier pruning and the shared verdict cache. threads = 1 runs
-// the single worker inline on the calling thread; threads = 4 fans the same
-// queries across a pool. Per row this bench reports:
+// assumption-activated candidates (the store never grows mid-sweep) and
+// UNSAT-core frontier pruning. threads = 1 runs the single worker inline on
+// the calling thread; threads = 4 fans the same queries across a pool. Per
+// row this bench reports:
 //   * summed work = conflicts + propagations over the full Alg. 1 run, main
 //     solver plus workers (deterministic at threads = 1; wall clock is
 //     recorded next to it but is not gated),
-//   * incremental-machinery counters (cache hits, pruned candidates), and
+//   * the incremental-machinery counter (pruned candidates), and
 //   * the `identical` column: the threads = 4 run must report bit-equal
 //     verdicts/iterations/frontiers to the threads = 1 run (the threads = 1
 //     row is the reference). The frontier is semantic, so any reading other
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "upec/report.h"
 
 namespace {
@@ -53,30 +54,13 @@ upec::VerifyOptions with_threads(upec::VerifyOptions options, unsigned threads) 
   return options;
 }
 
-// Compact unified-metrics snapshot for the row (README "Observability").
-std::string row_metrics(const upec::Alg1Result& r) {
-  return r.stats.metrics
-      .filtered({"sat.channel.", "sat.simplify.", "sat.solver.total.", "upec."})
-      .to_json();
-}
-
-bool identical_results(const upec::Alg1Result& a, const upec::Alg1Result& b) {
-  bool same = a.verdict == b.verdict && a.iterations.size() == b.iterations.size() &&
-              a.persistent_hits == b.persistent_hits && a.full_cex == b.full_cex &&
-              a.final_s == b.final_s;
-  for (std::size_t i = 0; same && i < a.iterations.size(); ++i) {
-    same = a.iterations[i].removed == b.iterations[i].removed;
-  }
-  return same;
-}
-
 struct Row {
   std::uint32_t pub_words;
   const char* scenario;
   unsigned threads;
   double seconds;
   std::uint64_t conflicts, propagations;
-  std::uint64_t cache_hits, pruned;
+  std::uint64_t pruned;
   bool identical;
   const char* verdict;
   std::string metrics;
@@ -88,6 +72,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace upec;
+  using bench::identical_results;
+  using bench::row_metrics;
 
   bool quick = false;
   std::string out_path = "BENCH_sweep_incremental.json";
@@ -104,9 +90,8 @@ int main(int argc, char** argv) {
 
   std::printf("# T-INCR — Alg. 1 incremental sweeps, threads = 1 vs 4%s\n\n",
               quick ? " (reduced config)" : "");
-  std::printf("%-10s %-10s %-8s %-10s %-12s %-14s %-12s %-8s %-10s\n", "pub_words", "scenario",
-              "threads", "time[s]", "conflicts", "propagations", "cache hits", "pruned",
-              "identical");
+  std::printf("%-10s %-10s %-8s %-10s %-12s %-14s %-8s %-10s\n", "pub_words", "scenario",
+              "threads", "time[s]", "conflicts", "propagations", "pruned", "identical");
 
   std::vector<Row> rows;
   bool all_identical = true;
@@ -141,7 +126,6 @@ int main(int argc, char** argv) {
         row.seconds = r.total_seconds;
         row.conflicts = r.stats.total.conflicts;
         row.propagations = r.stats.total.propagations;
-        row.cache_hits = r.stats.cache_hits;
         row.pruned = r.stats.pruned_candidates;
         row.identical = identical_results(reference, r);
         row.verdict = verdict_name(r.verdict);
@@ -159,11 +143,9 @@ int main(int argc, char** argv) {
         }
         rows.push_back(row);
 
-        std::printf("%-10u %-10s %-8u %-10.3f %-12llu %-14llu %-12llu %-8llu %s\n", pub,
-                    sc.name, threads, row.seconds,
-                    static_cast<unsigned long long>(row.conflicts),
+        std::printf("%-10u %-10s %-8u %-10.3f %-12llu %-14llu %-8llu %s\n", pub, sc.name,
+                    threads, row.seconds, static_cast<unsigned long long>(row.conflicts),
                     static_cast<unsigned long long>(row.propagations),
-                    static_cast<unsigned long long>(row.cache_hits),
                     static_cast<unsigned long long>(row.pruned), row.identical ? "yes" : "NO");
       }
     }
@@ -182,13 +164,12 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"pub_words\": %u, \"scenario\": \"%s\", \"threads\": %u, "
                  "\"verdict\": \"%s\", \"seconds\": %.3f, \"conflicts\": %llu, "
-                 "\"propagations\": %llu, \"work\": %llu, \"cache_hits\": %llu, "
-                 "\"pruned\": %llu, \"identical\": %s, \"metrics\": %s}%s\n",
+                 "\"propagations\": %llu, \"work\": %llu, \"pruned\": %llu, "
+                 "\"identical\": %s, \"metrics\": %s}%s\n",
                  r.pub_words, r.scenario, r.threads, r.verdict, r.seconds,
                  static_cast<unsigned long long>(r.conflicts),
                  static_cast<unsigned long long>(r.propagations),
                  static_cast<unsigned long long>(r.work()),
-                 static_cast<unsigned long long>(r.cache_hits),
                  static_cast<unsigned long long>(r.pruned), r.identical ? "true" : "false",
                  r.metrics.c_str(), i + 1 < rows.size() ? "," : "");
   }

@@ -42,19 +42,6 @@ CheckResult Engine::check_assumptions(const std::vector<encode::Lit>& assumption
   CheckResult result;
   if (core_out != nullptr) core_out->clear();
 
-  const bool cached = cache_ != nullptr && store_ != nullptr;
-  sat::CnfSnapshot::Cursor cursor;
-  if (cached) {
-    cursor = sat::CnfSnapshot::Cursor{store_->num_vars(), store_->num_clauses()};
-    if (cache_->lookup_unsat(store_->id(), cursor, assumptions, core_out)) {
-      ++cache_hits_;
-      result.status = CheckStatus::Holds;
-      span.arg("status", status_name(result.status));
-      return result;
-    }
-    ++cache_misses_;
-  }
-
   const sat::SolverStats before = solver_.stats();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -78,10 +65,8 @@ CheckResult Engine::check_assumptions(const std::vector<encode::Lit>& assumption
                                : CheckStatus::Holds;
   span.arg("status", status_name(result.status));
 
-  if (result.status == CheckStatus::Holds) {
-    const std::vector<encode::Lit>& core = solver_.conflict_assumptions();
-    if (cached) cache_->insert_unsat(store_->id(), cursor, assumptions, core);
-    if (core_out != nullptr) *core_out = core;
+  if (result.status == CheckStatus::Holds && core_out != nullptr) {
+    *core_out = solver_.conflict_assumptions();
   }
   return result;
 }

@@ -104,19 +104,12 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
       po.external = external;
       po.pipe = pipe;
       po.supervise = options_.supervise;
-      auto p = std::make_unique<sat::PortfolioBackend>(po, channel_.get(), w * stride);
-      p->set_verdict_cache(options_.verdict_cache);
-      backend = std::move(p);
+      backend = std::make_unique<sat::PortfolioBackend>(po, channel_.get(), w * stride);
     } else if (external) {
-      auto s = std::make_unique<sat::SupervisedBackend>(pipe, options_.supervise,
-                                                        options_.conflict_budget, channel_.get(),
-                                                        w * stride);
-      s->set_verdict_cache(options_.verdict_cache);
-      backend = std::move(s);
+      backend = std::make_unique<sat::SupervisedBackend>(
+          pipe, options_.supervise, options_.conflict_budget, channel_.get(), w * stride);
     } else {
-      auto b = std::make_unique<sat::InprocBackend>(options_.conflict_budget, channel_.get(), w);
-      b->set_verdict_cache(options_.verdict_cache);
-      backend = std::move(b);
+      backend = std::make_unique<sat::InprocBackend>(options_.conflict_budget, channel_.get(), w);
     }
     if (options_.deadline) backend->set_deadline(*options_.deadline);
     if (options_.progress_every != 0 && options_.progress) {
@@ -147,13 +140,6 @@ std::vector<std::vector<sat::SolverStats>> CheckScheduler::worker_member_stats()
   return out;
 }
 
-std::vector<std::uint64_t> CheckScheduler::worker_cache_hits() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(backends_.size());
-  for (const auto& b : backends_) out.push_back(b->cache_hits());
-  return out;
-}
-
 std::vector<std::size_t> CheckScheduler::worker_live_learnts() const {
   std::vector<std::size_t> out;
   out.reserve(backends_.size());
@@ -180,13 +166,8 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
   const auto t0 = std::chrono::steady_clock::now();
   const unsigned W = workers();
   std::vector<sat::SolverStats> before;
-  std::vector<std::uint64_t> ch_before, cm_before;
   before.reserve(W);
-  for (const auto& b : backends_) {
-    before.push_back(b->stats());
-    ch_before.push_back(b->cache_hits());
-    cm_before.push_back(b->cache_misses());
-  }
+  for (const auto& b : backends_) before.push_back(b->stats());
 
   // Single batch registration on the calling thread: one CNF emission
   // regardless of worker count, so the clause stream (and every snapshot
@@ -332,8 +313,6 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
     result.exported += delta.exported_clauses;
     result.imported += delta.imported_clauses;
     result.imported_per_worker[w] = delta.imported_clauses;
-    result.cache_hits += backends_[w]->cache_hits() - ch_before[w];
-    result.cache_misses += backends_[w]->cache_misses() - cm_before[w];
     result.retained_learnts += backends_[w]->live_learnts();
   }
   std::sort(result.differing.begin(), result.differing.end());

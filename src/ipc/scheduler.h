@@ -17,11 +17,14 @@
 // model retires every still-unresolved chunk member it proves differing; an
 // UNSAT answer retires the candidate with a per-candidate assumption core,
 // surfaced in SweepResult::unsat_groups for frontier pruning. The store never
-// grows during a sweep, one snapshot serves the whole batch, nothing a worker
-// learned is ever invalidated, and a shared VerdictCache short-circuits
-// repeated UNSAT queries outright. Per-candidate cores mention only the eq
+// grows during a sweep, one snapshot serves the whole batch, and nothing a
+// worker learned is ever invalidated. Per-candidate cores mention only the eq
 // assumptions that one refutation needs, so they survive frontier shrinking
-// far better than a whole-chunk disjunction core would.
+// far better than a whole-chunk disjunction core would. Repeated queries are
+// not memoized: across sweeps the upec layer's FrontierPruner drops
+// candidates a recorded core still refutes before they are asked again, and
+// within a portfolio race a loser that reaches a query a sibling has already
+// answered is cancelled at solve entry before it searches.
 //
 // This is the only saturating sweep in the engine: threads == 1 runs the same
 // code with a single worker executed inline on the calling thread (no pool
@@ -85,11 +88,8 @@ struct SweepResult {
   };
   std::vector<UnsatGroup> unsat_groups;
 
-  // Verdict-cache traffic during this sweep (zero with the cache off) and
-  // the workers' combined live learnt-clause databases at sweep end — the
+  // The workers' combined live learnt-clause databases at sweep end — the
   // clauses the workers retain across sweeps and iterations.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::size_t retained_learnts = 0;
 
   // An Unknown status was (at least in part) a wall-clock hit: some worker's
@@ -121,9 +121,6 @@ struct SchedulerOptions {
   std::uint64_t conflict_budget = 0;  // per solve call; 0 = unlimited
   // Workers exchange low-LBD learnt clauses through a ClauseChannel.
   bool share_clauses = true;
-  // Shared verdict cache consulted by every worker before solving (nullptr
-  // disables). Must outlive the scheduler.
-  sat::VerdictCache* verdict_cache = nullptr;
   // Portfolio racing: each worker becomes `portfolio` diversified in-proc
   // solvers racing every query, first definitive answer wins, losers are
   // cancelled (sat/portfolio.h). 1 (default) = plain single-solver workers.
@@ -195,7 +192,6 @@ public:
   // portfolio participant, summing exactly to worker_stats()[w]; empty for
   // single-solver workers (see SolverBackend::member_stats).
   std::vector<std::vector<sat::SolverStats>> worker_member_stats() const;
-  std::vector<std::uint64_t> worker_cache_hits() const;
   std::vector<std::size_t> worker_live_learnts() const;
   // Per-worker robustness counters (all-zero entries for plain in-proc
   // workers; populated under portfolio/external backends).

@@ -17,9 +17,12 @@
 //
 // Loser cancellation: the winner flips a shared atomic; in-proc losers abort
 // at their next conflict/decision (SolverInterrupted{Cancelled}, solver left
-// at level 0 and reusable), an external loser's child I/O aborts within
-// ~10 ms and the child is terminated. solve() joins every member before
-// returning, so no member touches shared state after the barrier.
+// at level 0 and reusable) — or at solve() entry, before any search, when the
+// query was already answered by the time they reach it; this is what keeps
+// duplicate queries cheap, so nothing memoizes verdicts. An external loser's
+// child I/O aborts within ~10 ms and the child is terminated. solve() joins
+// every member before returning, so no member touches shared state after the
+// barrier.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +61,6 @@ public:
   bool model_value(Lit l) const override;
   const SolverStats& stats() const override;  // summed over members
 
-  std::uint64_t cache_hits() const override;
-  std::uint64_t cache_misses() const override;
   std::size_t live_learnts() const override;
 
   void set_deadline(std::chrono::steady_clock::time_point t) override;
@@ -72,8 +73,6 @@ public:
   // Forwards the heartbeat to every in-proc member. The external child has
   // no hook; its lifecycle shows up in the trace instead.
   void set_progress(ProgressHook hook, std::uint64_t every_conflicts) override;
-
-  void set_verdict_cache(VerdictCache* cache);
 
   unsigned member_count() const { return static_cast<unsigned>(all_.size()); }
   // Which member answered each won solve (diversity diagnostics in bench).

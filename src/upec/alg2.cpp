@@ -45,8 +45,6 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
     step.iteration.pers_hits = out.pers_hits.size();
     step.iteration.removed = out.s_cex;
     step.iteration.pruned = out.pruned;
-    step.iteration.cache_hits = out.cache_hits;
-    step.iteration.cache_misses = out.cache_misses;
     step.iteration.timed_out = out.timed_out;
     result.total_seconds += out.seconds;
 

@@ -58,11 +58,6 @@ struct VerifyOptions {
   // Optional restriction of S_pers (e.g. "only the HWPE and public RAM" to
   // steer Alg. 1 toward a specific attack scenario in the case study).
   std::function<bool(rtlir::StateVarId)> s_pers_filter;
-  // Cache UNSAT verdicts (with their assumption cores) keyed on the store
-  // cursor and canonicalized assumption set, shared between the main solver
-  // and every scheduler worker (sat/verdict_cache.h). Only repeated queries
-  // against an unchanged formula hit, so this is correctness-neutral.
-  bool verdict_cache = true;
   // Wall-clock budget for the whole verification run, in milliseconds
   // (0 = unlimited), measured from context construction. Solvers abort past
   // it and the run reports Verdict::Unknown with `timed_out` set — a
@@ -140,11 +135,8 @@ public:
   SsMacros macros;
   PersistenceClassifier pers;
   ipc::Engine engine;
-  // Shared UNSAT-verdict cache (main solver + workers) and the UNSAT-core
-  // frontier pruner. Both exist unconditionally — the options toggles gate
-  // their *use* — and must be declared before `scheduler`, whose workers
-  // capture a pointer to the cache at construction.
-  sat::VerdictCache verdict_cache;
+  // UNSAT-core frontier pruner: saturating sweeps skip candidates a recorded
+  // refutation core still proves unable to differ (upec/incremental.h).
   FrontierPruner pruner;
   // Absolute deadline derived from options.deadline_ms at construction
   // (nullopt = unlimited); installed on the main solver and every worker.

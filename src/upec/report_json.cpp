@@ -27,8 +27,6 @@ void write_config(util::JsonWriter& w, const VerifyOptions& o) {
   w.value(o.threads);
   w.key("share_clauses");
   w.value(o.share_clauses);
-  w.key("verdict_cache");
-  w.value(o.verdict_cache);
   w.key("deadline_ms");
   w.value(o.deadline_ms);
   w.key("portfolio");
@@ -77,10 +75,6 @@ void write_iteration(util::JsonWriter& w, const UpecContext& ctx, const Iteratio
   w.value(log.timed_out);
   w.key("pruned");
   w.value(log.pruned);
-  w.key("cache_hits");
-  w.value(log.cache_hits);
-  w.key("cache_misses");
-  w.value(log.cache_misses);
   w.key("removed");
   w.begin_array();
   for (rtlir::StateVarId sv : log.removed) w.value(ctx.svt.name(sv));

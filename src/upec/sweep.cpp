@@ -21,8 +21,6 @@ SweepOutcome sweep_single_model(UpecContext& ctx, const std::vector<encode::Lit>
     out.status = ipc::CheckStatus::Holds;  // nothing left that could differ
     return out;
   }
-  const std::uint64_t hits0 = ctx.engine.cache_hits();
-  const std::uint64_t misses0 = ctx.engine.cache_misses();
   ctx.miter.register_candidates(members, frame);
 
   std::vector<encode::Lit> as = assumptions;
@@ -41,8 +39,6 @@ SweepOutcome sweep_single_model(UpecContext& ctx, const std::vector<encode::Lit>
     inconsistent = out.s_cex.empty();
   }
   out.status = inconsistent ? ipc::CheckStatus::Unknown : check.status;
-  out.cache_hits = ctx.engine.cache_hits() - hits0;
-  out.cache_misses = ctx.engine.cache_misses() - misses0;
   return out;
 }
 
@@ -112,8 +108,6 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
       out.s_cex = std::move(r.differing);
       out.seconds = r.seconds;
       out.conflicts = r.conflicts;
-      out.cache_hits = r.cache_hits;
-      out.cache_misses = r.cache_misses;
       out.unsat_groups = std::move(r.unsat_groups);
       out.timed_out = r.timed_out;
     }

@@ -36,12 +36,10 @@ struct SweepOutcome {
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
   // Work avoidance: candidates skipped up front because a recorded UNSAT
-  // core still proves them unable to differ, verdict-cache traffic during
-  // this sweep, and the final per-candidate refutations (already mined into
-  // the context's pruner by sweep_frame; exposed for tests).
+  // core still proves them unable to differ, and the final per-candidate
+  // refutations (already mined into the context's pruner by sweep_frame;
+  // exposed for tests).
   std::size_t pruned = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::vector<ipc::SweepResult::UnsatGroup> unsat_groups;
   // An Unknown status was (at least in part) a wall-clock deadline hit, as
   // opposed to conflict-budget exhaustion (see VerifyOptions::deadline_ms).

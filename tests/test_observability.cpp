@@ -157,10 +157,10 @@ TEST(MetricsRegistry, FilteredSelectsPrefixes) {
   util::MetricsSnapshot m;
   m.add_counter("sat.solver.total.conflicts", 1);
   m.add_counter("sat.channel.exported", 2);
-  m.add_counter("upec.cache.hits", 3);
+  m.add_counter("upec.sweep.pruned_candidates", 3);
   const util::MetricsSnapshot f = m.filtered({"upec.", "sat.channel."});
   EXPECT_EQ(f.size(), 2u);
-  EXPECT_TRUE(f.has("upec.cache.hits"));
+  EXPECT_TRUE(f.has("upec.sweep.pruned_candidates"));
   EXPECT_FALSE(f.has("sat.solver.total.conflicts"));
   EXPECT_EQ(m.filtered({}).size(), 3u); // empty list = everything
 }
@@ -344,8 +344,7 @@ TEST(TraceEvents, StreamParsesBackStrictlyAndSpansBalance) {
 
 TEST(TraceEvents, EverySolveSpanCarriesItsStatus) {
   // solve.main and solve.inproc share one status vocabulary, on every return
-  // path — including the main engine's verdict-cache hit, which never
-  // reaches the solver.
+  // path.
   const std::string path = ::testing::TempDir() + "upec_trace_status.json";
   {
     soc::SocConfig cfg;
@@ -361,7 +360,6 @@ TEST(TraceEvents, EverySolveSpanCarriesItsStatus) {
     ctx.miter.select_candidates(1, {}, as); // trivially UNSAT selection
     ASSERT_EQ(ctx.engine.check_assumptions(as).status, ipc::CheckStatus::Holds);
     ASSERT_EQ(ctx.engine.check_assumptions(as).status, ipc::CheckStatus::Holds);
-    ASSERT_EQ(ctx.engine.cache_hits(), 1u);
 
     // Vulnerable with waveform: scheduler sweeps (solve.inproc) plus the
     // main-solver waveform witness (solve.main, sat).
@@ -388,7 +386,7 @@ TEST(TraceEvents, EverySolveSpanCarriesItsStatus) {
         << name << ": " << status->string;
     statuses[name][status->string]++;
   }
-  EXPECT_EQ(statuses["solve.main"]["unsat"], 2); // the solve and its cache hit
+  EXPECT_EQ(statuses["solve.main"]["unsat"], 2); // the two repeated solves
   EXPECT_GE(statuses["solve.main"]["sat"], 1);   // the waveform witness
   EXPECT_GT(statuses["solve.inproc"]["sat"], 0);
   EXPECT_GT(statuses["solve.inproc"]["unsat"], 0);
@@ -521,8 +519,8 @@ TEST(JsonReport, Alg1ReportParsesBackAndMatchesResult) {
             static_cast<double>(r.stats.total.conflicts));
   EXPECT_EQ(metrics->number_or("sat.solver.total.solve_calls", -1),
             static_cast<double>(r.stats.total.solve_calls));
-  EXPECT_EQ(metrics->number_or("upec.cache.hits", -1),
-            static_cast<double>(r.stats.cache_hits));
+  EXPECT_EQ(metrics->number_or("upec.sweep.pruned_candidates", -1),
+            static_cast<double>(r.stats.pruned_candidates));
 
   // config echo + hash: 16 lowercase hex digits, stable against re-rendering.
   const std::string& hash = v.find("config_hash")->string;

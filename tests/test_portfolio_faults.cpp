@@ -482,6 +482,66 @@ TEST_F(FaultBackendTest, PortfolioAnswersMatchSingleSolver) {
   EXPECT_EQ(wins, 2u);
 }
 
+TEST(PortfolioRacing, HealthAccountsEveryRaceAndEveryCancelledLoser) {
+  // Pigeonhole 6 into 5, each clause guarded by a selector s: assuming s
+  // satisfies everything, assuming ~s leaves the UNSAT pigeonhole formula.
+  constexpr int P = 6, H = 5;
+  sat::CnfStore store;
+  const sat::Var s = store.new_var();
+  std::vector<std::vector<sat::Var>> x(P, std::vector<sat::Var>(H));
+  for (auto& row : x) {
+    for (auto& v : row) v = store.new_var();
+  }
+  for (int p = 0; p < P; ++p) {
+    std::vector<Lit> c{Lit(s, false)};
+    for (int h = 0; h < H; ++h) c.push_back(Lit(x[p][h], false));
+    store.add_clause(c);
+  }
+  for (int h = 0; h < H; ++h) {
+    for (int p1 = 0; p1 < P; ++p1) {
+      for (int p2 = p1 + 1; p2 < P; ++p2) {
+        store.add_clause(std::vector<Lit>{Lit(s, false), Lit(x[p1][h], true), Lit(x[p2][h], true)});
+      }
+    }
+  }
+
+  sat::PortfolioOptions po;
+  po.members = 4;
+  sat::PortfolioBackend backend(po);
+  backend.sync(store.snapshot());
+  ASSERT_EQ(backend.member_count(), 4u);
+
+  EXPECT_EQ(backend.solve({Lit(s, false)}), SolveStatus::Sat);
+
+  // A budget every member exhausts: nobody answers, so nobody is cancelled.
+  for (unsigned m = 0; m < 4; ++m) backend.inproc_member(m).solver().set_conflict_budget(1);
+  EXPECT_EQ(backend.solve({Lit(s, true)}), SolveStatus::Unknown);
+  EXPECT_EQ(backend.last_winner(), -1);
+  for (unsigned m = 0; m < 4; ++m) backend.inproc_member(m).solver().set_conflict_budget(0);
+
+  // Throttle members 1..3 so member 0 (on the calling thread) answers first:
+  // the three losers never answer and must all be counted as cancelled.
+  for (unsigned m = 1; m < 4; ++m) {
+    backend.inproc_member(m).set_progress(
+        [](const sat::SolverProgress&) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        },
+        1);
+  }
+  const std::uint64_t cancelled_before = backend.health().cancelled;
+  EXPECT_LE(cancelled_before, 3u);  // at most every loser of the SAT race
+  EXPECT_EQ(backend.solve({Lit(s, true)}), SolveStatus::Unsat);
+  EXPECT_EQ(backend.last_winner(), 0);
+
+  const sat::BackendHealth h = backend.health();
+  EXPECT_EQ(h.solves, 3u);
+  EXPECT_EQ(h.solves, h.sat + h.unsat + h.unknown);
+  EXPECT_EQ(h.sat, 1u);
+  EXPECT_EQ(h.unsat, 1u);
+  EXPECT_EQ(h.unknown, 1u);
+  EXPECT_EQ(h.cancelled - cancelled_before, 3u);
+}
+
 TEST_F(FaultBackendTest, PortfolioSurvivesFaultyExternalMember) {
   for (const char* spec : {"crash:0", "bogus", "garbage"}) {
     SCOPED_TRACE(spec);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 
 #include "util/rng.h"
@@ -219,6 +220,46 @@ TEST(Sat, ConflictBudgetThrows) {
   }
   s.set_conflict_budget(10);
   EXPECT_THROW(s.solve(), SolverInterrupted);
+}
+
+TEST(Sat, CancelFlagAbortsAtSolveEntryWithoutWork) {
+  // A portfolio loser that reaches solve() after a sibling already answered
+  // finds the cancel flag set and must leave before searching: no conflict,
+  // decision or propagation is spent on the duplicate query.
+  Solver s;
+  constexpr int P = 6, H = 5;
+  std::vector<std::vector<Var>> x(P, std::vector<Var>(H));
+  for (auto& row : x) {
+    for (auto& v : row) v = s.new_var();
+  }
+  for (int p = 0; p < P; ++p) {
+    std::vector<Lit> c;
+    for (int h = 0; h < H; ++h) c.push_back(pos(x[p][h]));
+    s.add_clause(c);
+  }
+  for (int h = 0; h < H; ++h) {
+    for (int p1 = 0; p1 < P; ++p1) {
+      for (int p2 = p1 + 1; p2 < P; ++p2) s.add_clause(neg(x[p1][h]), neg(x[p2][h]));
+    }
+  }
+  std::atomic<bool> cancel{true};
+  s.set_cancel_flag(&cancel);
+  const SolverStats before = s.stats();
+  try {
+    s.solve({neg(x[0][0])});
+    ADD_FAILURE() << "solve() must throw while the cancel flag is set";
+  } catch (const SolverInterrupted& e) {
+    EXPECT_EQ(e.reason, SolverInterrupted::Reason::Cancelled);
+  }
+  EXPECT_EQ(s.stats().conflicts, before.conflicts);
+  EXPECT_EQ(s.stats().decisions, before.decisions);
+  EXPECT_EQ(s.stats().propagations, before.propagations);
+
+  // Clearing the flag makes the same solver usable again, with full answers.
+  cancel.store(false);
+  EXPECT_FALSE(s.solve({neg(x[0][0])}));
+  EXPECT_GT(s.stats().conflicts, before.conflicts);
+  EXPECT_FALSE(s.solve());
 }
 
 // Randomized cross-check against brute force on small instances.
